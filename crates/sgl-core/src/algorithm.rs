@@ -22,31 +22,13 @@ use crate::measure::Measurements;
 use crate::session::SglSession;
 use sgl_graph::Graph;
 
-/// Wall-clock breakdown of one densification iteration's phases, in
-/// seconds. Timing is measurement-only: it never feeds back into the
-/// algorithm, so traces stay bit-identical across runs that differ only
-/// in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StepTimings {
-    /// Spectral embedding + candidate scoring (Steps 2–3).
-    pub score_s: f64,
-    /// Top-candidate selection, edge insertion, and incremental solver
-    /// delta absorption (densification).
-    pub densify_s: f64,
-    /// Warm re-embedding after the graph change. Delivered as `0.0` to
-    /// [`SessionObserver`](crate::session::SessionObserver) callbacks
-    /// (which fire before the re-embed runs); the copy kept in
-    /// [`LearnResult::trace`] carries the measured value.
-    pub refine_s: f64,
-}
-
 /// Per-iteration convergence record (the series behind Figs. 1, 2, 4–6).
 ///
-/// Equality ignores [`timings`](IterationRecord::timings): two records
-/// are equal when they describe the same *algorithmic* step, regardless
-/// of how long it took — checkpoint-resume and parallel-equivalence
-/// tests compare traces across runs whose speeds legitimately differ.
-#[derive(Debug, Clone, Copy)]
+/// Records hold only algorithmic state, so checkpoint-resume and
+/// parallel-equivalence tests compare traces across runs exactly. Phase
+/// timings come from the `sgl-trace` spans (`score`, `densify`,
+/// `reembed`).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationRecord {
     /// 1-based iteration number.
     pub iteration: usize,
@@ -59,19 +41,6 @@ pub struct IterationRecord {
     /// Smallest nontrivial eigenvalue of the current graph (algebraic
     /// connectivity), a cheap health indicator of the densification.
     pub lambda2: f64,
-    /// Wall-clock phase breakdown (zeroed on records restored from a
-    /// checkpoint — timing is not part of the persistent format).
-    pub timings: StepTimings,
-}
-
-impl PartialEq for IterationRecord {
-    fn eq(&self, other: &Self) -> bool {
-        self.iteration == other.iteration
-            && self.smax == other.smax
-            && self.edges_added == other.edges_added
-            && self.total_edges == other.total_edges
-            && self.lambda2 == other.lambda2
-    }
 }
 
 /// Why a learning run stopped — the stopping-rule verdict behind the

@@ -546,9 +546,6 @@ fn parse_checkpoint(text: &str, mut config: SglConfig) -> Result<SessionState, S
             edges_added: parse_usize(no, toks[2])?,
             total_edges: parse_usize(no, toks[3])?,
             lambda2: parse_f64_bits(no, toks[4])?,
-            // Timing is observational, not part of the persistent format:
-            // restored records carry zeroed phase timings.
-            timings: Default::default(),
         });
     }
 

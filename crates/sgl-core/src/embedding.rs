@@ -80,29 +80,16 @@ pub fn spectral_embedding(
     shift: f64,
     opts: &EmbeddingOptions,
 ) -> Result<Embedding, SglError> {
-    spectral_embedding_warm(graph, width, shift, opts, None)
-}
-
-/// [`spectral_embedding`] seeded with a previous embedding's eigenvector
-/// block (per-column scaling is irrelevant — LOBPCG orthonormalizes).
-/// SGL's loop passes the previous iteration's embedding, which cuts the
-/// eigensolver down to a few steps because only ~`⌈Nβ⌉` edges changed.
-///
-/// # Errors
-/// See [`spectral_embedding`].
-pub fn spectral_embedding_warm(
-    graph: &Graph,
-    width: usize,
-    shift: f64,
-    opts: &EmbeddingOptions,
-    warm_start: Option<&DenseMatrix>,
-) -> Result<Embedding, SglError> {
     let mut ctx = SolverContext::new(SolverPolicy::default());
-    spectral_embedding_ctx(graph, width, shift, opts, warm_start, &mut ctx)
+    spectral_embedding_ctx(graph, width, shift, opts, None, &mut ctx)
 }
 
-/// [`spectral_embedding_warm`] drawing any needed shift-invert solver
-/// from a shared [`SolverContext`] — the session path. The context is
+/// [`spectral_embedding`] seeded with an optional previous embedding's
+/// eigenvector block (per-column scaling is irrelevant — LOBPCG
+/// orthonormalizes) and drawing any needed shift-invert solver
+/// from a shared [`SolverContext`] — the session path. SGL's loop passes
+/// the previous iteration's embedding, which cuts the eigensolver down
+/// to a few steps because only ~`⌈Nβ⌉` edges changed. The context is
 /// only touched when LOBPCG stalls and the Lanczos fallback engages, so
 /// a converging run builds no solver at all.
 ///

@@ -73,7 +73,7 @@ pub mod sensitivity;
 pub mod session;
 pub mod strategy;
 
-pub use algorithm::{IterationRecord, LearnResult, Sgl, StepTimings, StopVerdict};
+pub use algorithm::{IterationRecord, LearnResult, Sgl, StopVerdict};
 pub use backend::{
     CandidateScorer, DenseEigBackend, EdgeScaler, EmbeddingBackend, LanczosBackend, NoScaler,
     SensitivityThreshold, SpectralGradientScorer, SpectralScaler, StoppingRule,
@@ -110,6 +110,6 @@ pub use strategy::{
 // The solve-layer vocabulary types, re-exported so configuring a session
 // does not require a direct sgl-solver dependency.
 pub use sgl_solver::{
-    FaultEvent, FaultKind, FaultPlan, PolicyMethod, ReuseMode, SolveStats, SolverContext,
-    SolverHandle, SolverPolicy,
+    FaultEvent, FaultKind, FaultPlan, PolicyMethod, SolveStats, SolverContext, SolverHandle,
+    SolverPolicy,
 };

@@ -366,6 +366,9 @@ mod tests {
         let g = grid2d(5, 5);
         let meas = Measurements::generate(&g, 3, 4).unwrap();
         let noisy = meas.with_noise(0.25, 9);
+        assert_eq!(noisy.num_nodes(), meas.num_nodes());
+        assert_eq!(noisy.num_measurements(), meas.num_measurements());
+        assert_eq!(noisy.currents(), meas.currents(), "currents untouched");
         for j in 0..3 {
             let clean = meas.voltage_vector(j);
             let dirty = noisy.voltage_vector(j);

@@ -280,17 +280,20 @@ mod tests {
         // Ground truth graph; measurements generated on it.
         let truth = grid2d(6, 6);
         let meas = Measurements::generate(&truth, 20, 1).unwrap();
-        // "Learned" graph = truth with all weights off by 4×.
-        let mut learned = truth.clone();
-        learned.scale_weights(0.25);
-        let factor = spectral_edge_scaling(&mut learned, &meas).unwrap();
-        assert!(
-            (factor - 4.0).abs() < 1e-6,
-            "expected factor 4, got {factor}"
-        );
-        // After scaling, weights match the truth again.
-        for (et, el) in truth.edges().iter().zip(learned.edges()) {
-            assert!((et.weight - el.weight).abs() < 1e-9);
+        // "Learned" graph = truth with all weights off by a uniform factor.
+        for distortion in [0.25, 0.05, 3.0, 20.0] {
+            let mut learned = truth.clone();
+            learned.scale_weights(distortion);
+            let factor = spectral_edge_scaling(&mut learned, &meas).unwrap();
+            assert!(
+                (factor * distortion - 1.0).abs() < 1e-6,
+                "expected factor {}, got {factor}",
+                1.0 / distortion
+            );
+            // After scaling, weights match the truth again.
+            for (et, el) in truth.edges().iter().zip(learned.edges()) {
+                assert!((et.weight - el.weight).abs() < 1e-9 * et.weight.max(1.0));
+            }
         }
     }
 

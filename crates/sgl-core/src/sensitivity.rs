@@ -211,33 +211,49 @@ mod tests {
 
     #[test]
     fn sensitivity_matches_dense_gradient() {
-        // Validate eq. (13) against a brute-force dense computation:
-        // z^emb from the full eigendecomposition restricted to r−1
-        // vectors must equal the embedding's distance.
-        let g = cycle(8);
-        let t = maximum_spanning_tree(&g);
-        let meas = fake_measurements(8, 3);
-        let tree_graph = t.to_graph(&g);
-        let emb = spectral_embedding(&tree_graph, 3, 0.0, &EmbeddingOptions::default()).unwrap();
-        let pool = CandidatePool::from_off_tree(&g, &t, &meas);
-        let sens = pool.sensitivities(&emb);
-
-        let dense =
-            SymEig::compute(&sgl_graph::laplacian::laplacian_csr(&tree_graph).to_dense()).unwrap();
-        for (c, s) in pool.candidates().iter().zip(&sens) {
-            let mut zemb = 0.0;
-            for j in 1..=3 {
-                let col = dense.vectors.column(j);
-                let d = col[c.u] - col[c.v];
-                zemb += d * d / dense.values[j];
+        // Validate eq. (13) against a brute-force dense computation, on a
+        // cycle and on seeded random weighted chord graphs: z^emb from the
+        // full eigendecomposition restricted to r−1 vectors must equal the
+        // embedding's distance.
+        let mut graphs = vec![cycle(8)];
+        for seed in [1u64, 2, 3] {
+            let mut rng = sgl_linalg::Rng::seed_from_u64(seed);
+            let n = 9 + 2 * seed as usize;
+            let mut g = cycle(n);
+            for _ in 0..n {
+                let (u, v) = (rng.below(n), rng.below(n));
+                if u != v && !g.has_edge(u, v) {
+                    g.add_edge(u, v, rng.uniform_in(0.2, 5.0));
+                }
             }
-            let want = zemb - c.zdata / 3.0;
-            assert!(
-                (s - want).abs() < 1e-5,
-                "candidate ({}, {}): {s} vs dense {want}",
-                c.u,
-                c.v
-            );
+            graphs.push(g);
+        }
+        for g in &graphs {
+            let t = maximum_spanning_tree(g);
+            let meas = fake_measurements(g.num_nodes(), 3);
+            let tree_graph = t.to_graph(g);
+            let emb =
+                spectral_embedding(&tree_graph, 3, 0.0, &EmbeddingOptions::default()).unwrap();
+            let pool = CandidatePool::from_off_tree(g, &t, &meas);
+            let sens = pool.sensitivities(&emb);
+
+            let laplacian = sgl_graph::laplacian::laplacian_csr(&tree_graph);
+            let dense = SymEig::compute(&laplacian.to_dense()).unwrap();
+            for (c, s) in pool.candidates().iter().zip(&sens) {
+                let mut zemb = 0.0;
+                for j in 1..=3 {
+                    let col = dense.vectors.column(j);
+                    let d = col[c.u] - col[c.v];
+                    zemb += d * d / dense.values[j];
+                }
+                let want = zemb - c.zdata / 3.0;
+                assert!(
+                    (s - want).abs() < 1e-5 * (1.0 + want.abs()),
+                    "candidate ({}, {}): {s} vs dense {want}",
+                    c.u,
+                    c.v
+                );
+            }
         }
     }
 

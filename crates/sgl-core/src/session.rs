@@ -35,7 +35,7 @@
 //! # Ok::<(), sgl_core::SglError>(())
 //! ```
 
-use crate::algorithm::{IterationRecord, LearnResult, StepTimings, StopVerdict};
+use crate::algorithm::{IterationRecord, LearnResult, StopVerdict};
 use crate::backend::{CandidateScorer, EdgeScaler, EmbeddingBackend, StoppingRule};
 use crate::config::SglConfig;
 use crate::embedding::{Embedding, EmbeddingOptions};
@@ -51,7 +51,6 @@ use sgl_linalg::par::with_threads_hint as with_session_threads;
 use sgl_solver::{FaultPlan, SolverContext};
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What a single [`SglSession::step`] did.
 #[derive(Debug, Clone, PartialEq)]
@@ -516,12 +515,7 @@ impl<'m> SglSession<'m> {
         Ok(self.embedding.as_ref().expect("embedding just ensured"))
     }
 
-    fn push_record(
-        &mut self,
-        smax: f64,
-        edges_added: usize,
-        timings: StepTimings,
-    ) -> IterationRecord {
+    fn push_record(&mut self, smax: f64, edges_added: usize) -> IterationRecord {
         let record = IterationRecord {
             iteration: self.trace.len() + 1,
             smax,
@@ -532,7 +526,6 @@ impl<'m> SglSession<'m> {
                 .as_ref()
                 .and_then(|e| e.eigenvalues.first().copied())
                 .unwrap_or(0.0),
-            timings,
         };
         self.trace.push(record);
         sgl_trace::count("session.iterations", 1);
@@ -631,10 +624,6 @@ impl<'m> SglSession<'m> {
         }
         self.epoch_iterations += 1;
         let _iter_sp = sgl_trace::span!("iteration", count = self.trace.len() + 1);
-        // Phase timing is measurement-only (clock reads never influence
-        // control flow), so results stay bit-identical however fast or
-        // slow — or traced or untraced — the run is.
-        let phase_start = Instant::now();
         let score_sp = sgl_trace::span!("score");
         self.ensure_embedding()?;
 
@@ -664,19 +653,11 @@ impl<'m> SglSession<'m> {
         let sens = self.scorer.score(&self.pool, embedding);
         let smax = sens.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         drop(score_sp);
-        let score_s = phase_start.elapsed().as_secs_f64();
 
         // Step 4: convergence check.
         let iteration = self.trace.len() + 1;
         if self.stopping.is_converged(iteration, smax) {
-            let record = self.push_record(
-                smax,
-                0,
-                StepTimings {
-                    score_s,
-                    ..StepTimings::default()
-                },
-            );
+            let record = self.push_record(smax, 0);
             self.converged = true;
             self.halted = true;
             self.verdict = StopVerdict::Converged;
@@ -684,7 +665,6 @@ impl<'m> SglSession<'m> {
         }
 
         // Densification: add the top ⌈Nβ⌉ candidates above tolerance.
-        let densify_start = Instant::now();
         let densify_sp = sgl_trace::span!("densify");
         let picked = self.pool.select_top(
             &sens,
@@ -704,16 +684,7 @@ impl<'m> SglSession<'m> {
         // iteration-blow-up cadence).
         self.solver.apply_deltas(&self.graph, &deltas)?;
         drop(densify_sp);
-        let densify_s = densify_start.elapsed().as_secs_f64();
-        let record = self.push_record(
-            smax,
-            added,
-            StepTimings {
-                score_s,
-                densify_s,
-                refine_s: 0.0,
-            },
-        );
+        let record = self.push_record(smax, added);
         if added == 0 {
             // smax ≥ tol but nothing selectable: numerical corner, treat
             // as converged to avoid spinning (the verdict records the
@@ -726,8 +697,7 @@ impl<'m> SglSession<'m> {
 
         // Warm-start the next embedding from this iteration's block: only
         // ~⌈Nβ⌉ edges changed, so the old block is nearly invariant.
-        let refine_start = Instant::now();
-        let refine_sp = sgl_trace::span!("refine");
+        let reembed_sp = sgl_trace::span!("reembed");
         let warm = self.embedding.take().expect("embedding ensured above");
         let width = self.embedding_width();
         let shift = self.config.shift();
@@ -740,12 +710,7 @@ impl<'m> SglSession<'m> {
             Some(&warm.coords),
             &mut self.solver,
         )?);
-        drop(refine_sp);
-        // The record was delivered to observers before the re-embed ran;
-        // patch the trace's copy so the final breakdown is complete.
-        if let Some(last) = self.trace.last_mut() {
-            last.timings.refine_s = refine_start.elapsed().as_secs_f64();
-        }
+        drop(reembed_sp);
         Ok(StepOutcome::Progressed(record))
     }
 

@@ -24,6 +24,28 @@ fn sample_graph() -> Graph {
     )
 }
 
+/// The sample graph plus seeded random connected graphs with weights
+/// over six decades.
+fn sample_graphs() -> Vec<Graph> {
+    let mut graphs = vec![sample_graph()];
+    for seed in [1u64, 2, 3, 4, 5] {
+        let mut rng = sgl_linalg::Rng::seed_from_u64(seed);
+        let n = 2 + rng.below(14);
+        let mut g = Graph::new(n);
+        for v in 1..n {
+            g.add_edge(rng.below(v), v, 10f64.powf(rng.uniform_in(-3.0, 3.0)));
+        }
+        for _ in 0..rng.below(15) {
+            let (u, v) = (rng.below(n), rng.below(n));
+            if u != v && !g.has_edge(u, v) {
+                g.add_edge(u, v, 10f64.powf(rng.uniform_in(-3.0, 3.0)));
+            }
+        }
+        graphs.push(g);
+    }
+    graphs
+}
+
 fn assert_graphs_equal(a: &Graph, b: &Graph) {
     assert_eq!(a.num_nodes(), b.num_nodes());
     assert_eq!(a.num_edges(), b.num_edges());
@@ -49,21 +71,24 @@ fn roundtrip(g: &Graph, kind: MatrixKind) -> Graph {
 
 #[test]
 fn adjacency_roundtrip_is_exact() {
-    let g = sample_graph();
     // read(write(g)) == g, and a second round-trip is a fixed point.
-    let once = roundtrip(&g, MatrixKind::Adjacency);
-    assert_graphs_equal(&g, &once);
-    let twice = roundtrip(&once, MatrixKind::Adjacency);
-    assert_graphs_equal(&once, &twice);
+    for g in sample_graphs() {
+        let once = roundtrip(&g, MatrixKind::Adjacency);
+        assert_graphs_equal(&g, &once);
+        let twice = roundtrip(&once, MatrixKind::Adjacency);
+        assert_graphs_equal(&once, &twice);
+    }
 }
 
 #[test]
 fn laplacian_roundtrip_is_exact() {
-    let g = sample_graph();
-    let once = roundtrip(&g, MatrixKind::Laplacian);
-    assert_graphs_equal(&g, &once);
-    let twice = roundtrip(&once, MatrixKind::Laplacian);
-    assert_graphs_equal(&once, &twice);
+    // read(write(g)) == g, and a second round-trip is a fixed point.
+    for g in sample_graphs() {
+        let once = roundtrip(&g, MatrixKind::Laplacian);
+        assert_graphs_equal(&g, &once);
+        let twice = roundtrip(&once, MatrixKind::Laplacian);
+        assert_graphs_equal(&once, &twice);
+    }
 }
 
 #[test]

@@ -327,5 +327,11 @@ mod tests {
                 assert!((g.get(i, j) - want).abs() < 1e-10);
             }
         }
+        // Span preserved: Q Qᵀ reproduces every original column.
+        for j in 0..6 {
+            let col = a.column(j);
+            let d = crate::vecops::sub(&q.matvec(&q.matvec_t(&col)), &col);
+            assert!(crate::vecops::norm2(&d) < 1e-8 * crate::vecops::norm2(&col));
+        }
     }
 }

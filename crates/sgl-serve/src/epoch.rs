@@ -152,7 +152,7 @@ impl<T> std::fmt::Debug for SnapshotCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     #[test]
     fn publish_advances_version_and_value() {
@@ -184,10 +184,12 @@ mod tests {
         };
         let cell = Arc::new(SnapshotCell::new(make(0)));
         let stop = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(AtomicUsize::new(0));
         let mut readers = Vec::new();
         for _ in 0..4 {
             let cell = Arc::clone(&cell);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             readers.push(std::thread::spawn(move || {
                 let mut loads = 0u64;
                 let mut last = 0u64;
@@ -197,12 +199,20 @@ mod tests {
                     assert!(p.echo.iter().all(|&e| e == v), "torn payload");
                     assert!(v >= last, "version went backwards");
                     last = v;
+                    if loads == 0 {
+                        started.fetch_add(1, Ordering::Relaxed);
+                    }
                     loads += 1;
                 }
                 loads
             }));
         }
-        // Publish well past the ring length while readers hammer.
+        // Publish well past the ring length while readers hammer: wait
+        // until every reader is loading, so the publishes overlap them
+        // even when the threads are slow to start.
+        while started.load(Ordering::Relaxed) < 4 {
+            std::thread::yield_now();
+        }
         for v in 1..=500u64 {
             cell.publish(make(v));
             if v % 50 == 0 {

@@ -458,22 +458,10 @@ impl PolicyMethod {
     }
 }
 
-/// When a cached handle may be reused across solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReuseMode {
-    /// One handle per graph revision, shared by every stage until the
-    /// graph changes (the production mode).
-    #[default]
-    PerRevision,
-    /// Rebuild on every request (debugging / A-B measurement of setup
-    /// cost; the pre-redesign behavior).
-    PerCall,
-}
-
 /// The user-controllable description of how the pipeline solves
 /// Laplacian systems: which method, to what tolerance, under which
-/// iteration cap, and whether handles are reused across a graph
-/// revision. Plain data — thread it through `SglConfig` and hand it to a
+/// iteration cap, and on how many threads. Plain data — thread it
+/// through `SglConfig` and hand it to a
 /// [`SolverContext`](crate::SolverContext).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverPolicy {
@@ -483,8 +471,6 @@ pub struct SolverPolicy {
     pub rtol: f64,
     /// Iteration cap for iterative methods.
     pub max_iter: usize,
-    /// Handle reuse across graph revisions.
-    pub reuse: ReuseMode,
     /// Node-count guard for [`PolicyMethod::DenseCholesky`] (0 = off).
     pub dense_max_nodes: usize,
     /// Worker threads for `solve_batch` fan-out across right-hand sides.
@@ -494,22 +480,6 @@ pub struct SolverPolicy {
     /// otherwise; `1` pins the guaranteed-serial path (bit-identical
     /// results either way).
     pub parallelism: usize,
-    /// Cap on the accumulated low-rank delta a
-    /// [`SolverContext`](crate::SolverContext) may absorb through
-    /// [`apply_deltas`](crate::SolverContext::apply_deltas) before it
-    /// falls back to a full refactorization: once the number of distinct
-    /// delta edges since the last full build would exceed this, the next
-    /// request rebuilds instead of stacking another Woodbury correction.
-    /// `0` disables the incremental path entirely (every delta batch
-    /// invalidates — the pre-revision behavior).
-    pub max_delta_rank: usize,
-    /// Refresh trigger on iteration blow-up: when a delta-corrected
-    /// solve's outer PCG takes more than `refresh_iter_factor ×` the
-    /// iterations of the first corrected solve after the last full
-    /// build, the context schedules a refactorization (the stale base
-    /// factorization has drifted too far from the current operator).
-    /// Must be ≥ 1; larger tolerates more drift before refreshing.
-    pub refresh_iter_factor: f64,
 }
 
 impl Default for SolverPolicy {
@@ -518,11 +488,8 @@ impl Default for SolverPolicy {
             method: PolicyMethod::Auto,
             rtol: 1e-10,
             max_iter: 10_000,
-            reuse: ReuseMode::PerRevision,
             dense_max_nodes: 4096,
             parallelism: 0,
-            max_delta_rank: 64,
-            refresh_iter_factor: 4.0,
         }
     }
 }
@@ -544,12 +511,6 @@ impl SolverPolicy {
             return Err(LinalgError::InvalidInput(
                 "solver max_iter must be at least 1".into(),
             ));
-        }
-        if !self.refresh_iter_factor.is_finite() || self.refresh_iter_factor < 1.0 {
-            return Err(LinalgError::InvalidInput(format!(
-                "solver refresh_iter_factor must be finite and at least 1, got {}",
-                self.refresh_iter_factor
-            )));
         }
         Ok(())
     }
@@ -605,33 +566,11 @@ impl SolverPolicy {
         self
     }
 
-    /// Builder-style setter for the reuse mode.
-    #[must_use]
-    pub fn with_reuse(mut self, reuse: ReuseMode) -> Self {
-        self.reuse = reuse;
-        self
-    }
-
     /// Builder-style setter for the batch-solve worker count
     /// (0 = ambient/all cores, 1 = serial).
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Builder-style setter for the delta-rank cap (0 = incremental
-    /// revisions off).
-    #[must_use]
-    pub fn with_max_delta_rank(mut self, max_delta_rank: usize) -> Self {
-        self.max_delta_rank = max_delta_rank;
-        self
-    }
-
-    /// Builder-style setter for the iteration-blow-up refresh trigger.
-    #[must_use]
-    pub fn with_refresh_iter_factor(mut self, refresh_iter_factor: f64) -> Self {
-        self.refresh_iter_factor = refresh_iter_factor;
         self
     }
 }

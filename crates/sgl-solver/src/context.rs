@@ -28,17 +28,15 @@
 //! rescale (Step 5) is even cheaper: `(c·L)⁺ = L⁺/c` needs no new
 //! factorization at all.
 //!
-//! Two triggers force a full refactorization
-//! ([`SolverPolicy::max_delta_rank`] and
-//! [`SolverPolicy::refresh_iter_factor`]): the accumulated delta rank
-//! exceeding its cap, and the corrected solve's outer PCG iteration
-//! count blowing up past `refresh_iter_factor ×` its post-build
-//! baseline (the stale factorization has drifted too far). Numerical
-//! breakdown of the correction (singular capacitance, vanishing merged
-//! weight) refreshes as well, so the incremental path never serves an
-//! unreliable handle. [`revision_stats`](SolverContext::revision_stats)
-//! reports how many full builds, incremental updates, and forced
-//! refreshes a context performed — the observable cost of the policy.
+//! Two triggers force a full refactorization: the accumulated delta
+//! rank exceeding its cap of 64 edges, and the corrected solve's outer
+//! PCG iteration count blowing up past 4× its post-build baseline (the
+//! stale factorization has drifted too far). Numerical breakdown of the
+//! correction (singular capacitance, vanishing merged weight) refreshes
+//! as well, so the incremental path never serves an unreliable handle.
+//! [`revision_stats`](SolverContext::revision_stats) reports how many
+//! full builds, incremental updates, and forced refreshes a context
+//! performed — the observable cost of the policy.
 //!
 //! Change detection is `O(1)`: every [`Graph`] mutation moves it to a
 //! fresh process-unique [`Graph::revision`], and the context compares
@@ -46,7 +44,7 @@
 //! survives as a debug assertion only).
 
 use crate::backend::{
-    PolicyMethod, ReuseMode, SolveStats, SolverBackend, SolverHandle, SolverPolicy, StatCell,
+    PolicyMethod, SolveStats, SolverBackend, SolverHandle, SolverPolicy, StatCell,
 };
 use crate::fault::{FaultKind, FaultPlan};
 use sgl_graph::laplacian::{apply_laplacian_deltas, laplacian_csr};
@@ -57,6 +55,20 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Cap on the accumulated low-rank delta a context absorbs through
+/// [`apply_deltas`](SolverContext::apply_deltas) before it falls back to
+/// a full refactorization: once the number of distinct delta edges since
+/// the last full build would exceed this, the next request rebuilds
+/// instead of stacking another Woodbury correction.
+const MAX_DELTA_RANK: usize = 64;
+
+/// Refresh trigger on iteration blow-up: when a delta-corrected solve's
+/// outer PCG takes more than this factor × the iterations of the first
+/// corrected solve after the last full build, the context schedules a
+/// refactorization (the stale base has drifted too far from the current
+/// operator).
+const REFRESH_ITER_FACTOR: f64 = 4.0;
 
 /// Lifetime counters of a [`SolverContext`]'s revision machinery: how
 /// often it paid for a full factorization versus an incremental
@@ -71,11 +83,11 @@ pub struct RevisionStats {
     /// Total delta-edge columns absorbed incrementally over the
     /// context's lifetime.
     pub delta_rank_applied: usize,
-    /// Full refreshes forced by the accumulated rank exceeding
-    /// [`SolverPolicy::max_delta_rank`].
+    /// Full refreshes forced by the accumulated rank exceeding its cap
+    /// (64 delta edges).
     pub refreshes_on_rank: usize,
     /// Full refreshes forced by corrected-solve PCG iterations exceeding
-    /// [`SolverPolicy::refresh_iter_factor`] × the post-build baseline.
+    /// 4× the post-build baseline.
     pub refreshes_on_iters: usize,
     /// Full refreshes forced by numerical breakdown of the correction
     /// (singular capacitance, vanishing merged weight, failed base
@@ -296,8 +308,8 @@ impl SolverContext {
     /// first use, served from cache while the [`Graph::revision`] epoch
     /// matches (an `O(1)` check — a mutated graph can never be silently
     /// served a stale handle), and refactored after
-    /// [`invalidate`](SolverContext::invalidate), a pending refresh
-    /// trigger, or under [`ReuseMode::PerCall`]. Revisions absorbed via
+    /// [`invalidate`](SolverContext::invalidate) or a pending refresh
+    /// trigger. Revisions absorbed via
     /// [`apply_deltas`](SolverContext::apply_deltas) /
     /// [`apply_scale`](SolverContext::apply_scale) are served as
     /// corrected wrappers around the cached base factorization.
@@ -311,8 +323,7 @@ impl SolverContext {
             || self.stale
             || iter_flagged
             || self.revision == 0
-            || graph.revision() != self.revision
-            || self.policy.reuse == ReuseMode::PerCall;
+            || graph.revision() != self.revision;
         if rebuild {
             if iter_flagged {
                 self.stats.refreshes_on_iters += 1;
@@ -405,11 +416,10 @@ impl SolverContext {
     /// `rtol` against the *updated* operator.
     ///
     /// Falls back to scheduling a full refactorization (exactly the
-    /// [`invalidate`](SolverContext::invalidate) behavior) whenever the
-    /// incremental path is off (`max_delta_rank == 0`,
-    /// [`ReuseMode::PerCall`]), nothing usable is cached, the
-    /// accumulated rank would exceed the cap, a refresh was already
-    /// pending, or the correction breaks down numerically. Never
+    /// [`invalidate`](SolverContext::invalidate) behavior) whenever
+    /// nothing usable is cached, the accumulated rank would exceed the
+    /// cap, a refresh was already pending, or the correction breaks down
+    /// numerically. Never
     /// errors on those — the fallback is always available; only base
     /// `solve_batch` failures with no fallback semantics propagate.
     ///
@@ -427,12 +437,7 @@ impl SolverContext {
             }
             return Ok(());
         }
-        if self.handle.is_none()
-            || self.stale
-            || self.revision == 0
-            || self.policy.max_delta_rank == 0
-            || self.policy.reuse == ReuseMode::PerCall
-        {
+        if self.handle.is_none() || self.stale || self.revision == 0 {
             self.stale = true;
             return Ok(());
         }
@@ -478,7 +483,7 @@ impl SolverContext {
             }
             new_rank_added = new_edges.len();
             let rank_after = state.rank() + new_edges.len();
-            if rank_after > self.policy.max_delta_rank {
+            if rank_after > MAX_DELTA_RANK {
                 self.stats.refreshes_on_rank += 1;
                 note_refresh("rank");
                 self.stale = true;
@@ -631,12 +636,7 @@ impl SolverContext {
             factor > 0.0 && factor.is_finite(),
             "scale factor must be positive and finite"
         );
-        if self.handle.is_none()
-            || self.stale
-            || self.revision == 0
-            || self.policy.max_delta_rank == 0
-            || self.policy.reuse == ReuseMode::PerCall
-        {
+        if self.handle.is_none() || self.stale || self.revision == 0 {
             self.stale = true;
             return;
         }
@@ -722,7 +722,6 @@ impl SolverContext {
                 rtol: self.policy.rtol,
                 max_iter: self.policy.max_iter,
                 parallelism: self.policy.parallelism,
-                refresh_iter_factor: self.policy.refresh_iter_factor,
                 baseline_iters: Arc::clone(&state.baseline_iters),
                 needs_refresh: Arc::clone(&state.needs_refresh),
                 stats: StatCell::default(),
@@ -894,7 +893,6 @@ struct RevisionedHandle {
     rtol: f64,
     max_iter: usize,
     parallelism: usize,
-    refresh_iter_factor: f64,
     baseline_iters: Arc<AtomicUsize>,
     needs_refresh: Arc<AtomicBool>,
     stats: StatCell,
@@ -937,7 +935,7 @@ impl RevisionedHandle {
     }
 
     /// Refresh policy: the first corrected solve after a build sets the
-    /// baseline; later solves exceeding `refresh_iter_factor ×` baseline
+    /// baseline; later solves exceeding `REFRESH_ITER_FACTOR ×` baseline
     /// flag the context for a refactorization.
     ///
     /// Called only from the serial accounting paths (`solve`, and
@@ -952,9 +950,7 @@ impl RevisionedHandle {
         let baseline = self.baseline_iters.load(Ordering::Relaxed);
         if baseline == 0 {
             self.baseline_iters.store(iters, Ordering::Relaxed);
-        } else if self.refresh_iter_factor >= 1.0
-            && iters as f64 > self.refresh_iter_factor * baseline as f64
-        {
+        } else if iters as f64 > REFRESH_ITER_FACTOR * baseline as f64 {
             self.needs_refresh.store(true, Ordering::Relaxed);
         }
     }
@@ -1140,17 +1136,6 @@ mod tests {
     }
 
     #[test]
-    fn per_call_always_rebuilds() {
-        let g = grid2d(4, 4);
-        let policy = SolverPolicy::default().with_reuse(ReuseMode::PerCall);
-        let mut ctx = SolverContext::new(policy);
-        let a = ctx.handle_for(&g).unwrap();
-        let b = ctx.handle_for(&g).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(ctx.handles_built(), 2);
-    }
-
-    #[test]
     fn node_count_change_rebuilds() {
         let mut ctx = SolverContext::new(SolverPolicy::default());
         ctx.handle_for(&grid2d(4, 4)).unwrap();
@@ -1281,41 +1266,31 @@ mod tests {
 
     #[test]
     fn rank_cap_forces_refactor() {
-        let mut g = grid2d(6, 6);
-        let policy = SolverPolicy::default().with_max_delta_rank(2);
-        let mut ctx = SolverContext::new(policy);
+        // Diagonal chords (i, i + 11) of a 10x10 grid: never grid edges,
+        // all distinct.
+        let mut g = grid2d(10, 10);
+        let mut ctx = SolverContext::new(SolverPolicy::default());
         ctx.handle_for(&g).unwrap();
-        g.add_edge(0, 8, 1.0);
-        g.add_edge(1, 9, 1.0);
-        ctx.apply_deltas(
-            &g,
-            &[EdgeDelta::insert(0, 8, 1.0), EdgeDelta::insert(1, 9, 1.0)],
-        )
-        .unwrap();
+        let deltas: Vec<EdgeDelta> = (0..MAX_DELTA_RANK)
+            .map(|i| {
+                g.add_edge(i, i + 11, 1.0);
+                EdgeDelta::insert(i, i + 11, 1.0)
+            })
+            .collect();
+        ctx.apply_deltas(&g, &deltas).unwrap();
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 1);
-        // One more distinct edge exceeds the cap of 2: full refactor.
-        g.add_edge(2, 10, 1.0);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(2, 10, 1.0)])
+        assert_eq!(ctx.delta_rank(), MAX_DELTA_RANK);
+        // One more distinct edge exceeds the cap: full refactor.
+        let i = MAX_DELTA_RANK;
+        g.add_edge(i, i + 11, 1.0);
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(i, i + 11, 1.0)])
             .unwrap();
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 2);
         assert_eq!(ctx.revision_stats().refreshes_on_rank, 1);
         assert_eq!(ctx.delta_rank(), 0, "refresh clears the delta state");
         assert_matches_fresh(&mut ctx, &g, 7, 1e-8);
-    }
-
-    #[test]
-    fn zero_cap_disables_the_incremental_path() {
-        let mut g = grid2d(5, 5);
-        let mut ctx = SolverContext::new(SolverPolicy::default().with_max_delta_rank(0));
-        ctx.handle_for(&g).unwrap();
-        g.add_edge(0, 7, 1.0);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 7, 1.0)])
-            .unwrap();
-        ctx.handle_for(&g).unwrap();
-        assert_eq!(ctx.handles_built(), 2, "cap 0 must always refactor");
-        assert_eq!(ctx.revision_stats().delta_updates, 0);
     }
 
     #[test]

@@ -121,8 +121,7 @@ impl FaultPlan {
         self
     }
 
-    /// The standard seeded schedule used by the bench fault arm and the
-    /// CI smoke job: one early IC(0) breakdown, one PCG stagnation, one
+    /// The standard seeded schedule: one early IC(0) breakdown, one PCG stagnation, one
     /// Woodbury singularity, one poisoned query, and one writer panic,
     /// each at a seed-derived early opportunity.
     pub fn seeded(seed: u64) -> Self {

@@ -73,8 +73,8 @@ pub mod tree_solver;
 
 pub use amg::{AmgHierarchy, AmgOptions};
 pub use backend::{
-    DenseCholeskyBackend, IterativeBackend, PolicyMethod, ReuseMode, SolveStats, SolverBackend,
-    SolverHandle, SolverPolicy,
+    DenseCholeskyBackend, IterativeBackend, PolicyMethod, SolveStats, SolverBackend, SolverHandle,
+    SolverPolicy,
 };
 pub use context::{RevisionStats, SolverContext};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

@@ -59,7 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Agreement --------------------------------------------------------
     // The two arms learn the same structure: first-6 eigenvalues within
-    // a few percent, correlation ≥ 0.99 (the tracked bench_learn gate).
+    // a few percent, correlation ≥ 0.99 (the gate in
+    // crates/sgl-sfsgl/tests/solver_free.rs).
     let cmp = compare_spectra(&solver.graph, &free.graph, 6, SpectrumMethod::ShiftInvert)?;
     println!(
         "agreement    : first-6 eigenvalue mean relative error {:.4}, correlation {:.4}",

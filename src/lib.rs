@@ -121,9 +121,8 @@
 //! ```
 //!
 //! See `examples/solver_free_learning.rs` for the solver vs solver-free
-//! A/B (and `bench_learn`'s `strategy_ab` rows for the tracked
-//! agreement numbers), and the README's *Solver-free learning* section
-//! for how the band decomposition works.
+//! A/B, and the README's *Solver-free learning* section for how the band
+//! decomposition works.
 //!
 //! # Parallelism
 //!
@@ -133,8 +132,8 @@
 //! one knob: `SglConfig::builder().parallelism(n)` (`0` = all cores,
 //! `1` = guaranteed serial). Thread count changes wall-clock, never
 //! results: the same config and seed learn a bit-identical graph at any
-//! setting. See the README's *Parallel execution* section and
-//! `bench_learn` for the tracked end-to-end numbers.
+//! setting. See the README's *Parallel execution* section, and
+//! `perfbench/` for the tracked end-to-end numbers.
 //!
 //! # Serving
 //!
@@ -166,7 +165,7 @@
 //! ```
 //!
 //! See `examples/serving.rs` for the full loop under concurrent readers
-//! and `bench_serve` for tracked throughput/latency numbers.
+//! and `perfbench/`'s `serve-mixed` workload for tracked latency numbers.
 //!
 //! # Observability
 //!
@@ -193,7 +192,7 @@
 //! Set `SGL_TRACE=<path>` to capture any run without code changes (the
 //! Chrome trace is written when the session finishes) and `SGL_LOG=warn`
 //! (or `info`, `debug`) to surface the log facade on stderr. See the
-//! README's *Observability* section and `bench_learn --trace`.
+//! README's *Observability* section.
 
 pub use sgl_baseline;
 pub use sgl_core;

@@ -132,3 +132,52 @@ fn hnsw_backend_learns_comparably() {
     let cmp = compare_spectra(&truth, &result.graph, 8, SpectrumMethod::ShiftInvert).unwrap();
     assert!(cmp.correlation > 0.9, "correlation {}", cmp.correlation);
 }
+
+/// Delaunay mesh over `n` uniform random points, edge weight `1/dist`.
+fn delaunay_graph(n: usize, seed: u64) -> Graph {
+    use sgl_datasets::delaunay::{delaunay, Point};
+    let mut rng = sgl_linalg::Rng::seed_from_u64(seed);
+    let pts: Vec<Point> = (0..n)
+        .map(|_| Point::new(rng.uniform(), rng.uniform()))
+        .collect();
+    let mut edges = Vec::new();
+    for tri in delaunay(&pts) {
+        for (a, b) in [(tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])] {
+            let d = (pts[a].x - pts[b].x).hypot(pts[a].y - pts[b].y).max(1e-9);
+            edges.push((a, b, 1.0 / d));
+        }
+    }
+    Graph::from_edges(n, edges)
+}
+
+#[test]
+fn convergence_driven_learns_stop_on_a_genuine_verdict() {
+    // A real tolerance under a generous cap: small meshes must stop
+    // because the rule fired or the pool ran dry, never on the cap.
+    let cfg = SglConfig::default()
+        .with_tol(1e-4)
+        .with_max_iterations(40)
+        .with_scale_edges(true);
+    let cases = [
+        (
+            "grid",
+            Measurements::generate(&sgl_datasets::grid2d(24, 24), 15, 7).unwrap(),
+        ),
+        (
+            "delaunay",
+            Measurements::generate(&delaunay_graph(600, 11), 15, 13).unwrap(),
+        ),
+    ];
+    for (name, meas) in &cases {
+        let result = Sgl::new(cfg.clone()).learn(meas).unwrap();
+        assert!(
+            matches!(
+                result.stop_verdict,
+                StopVerdict::Converged | StopVerdict::CandidatesExhausted
+            ),
+            "{name}: stopped on {:?} after {} iterations",
+            result.stop_verdict,
+            result.trace.len()
+        );
+    }
+}

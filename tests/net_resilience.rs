@@ -552,3 +552,149 @@ fn graceful_shutdown_drains_and_hands_back_the_session() {
         "the drained listener must refuse new connections"
     );
 }
+
+/// One seeded adversarial client: malformed verb, absurd length, binary
+/// junk, half-open connect, or a mid-request disconnect. Clean means
+/// the rejection the junk deserves, a `429` shed (these clients race an
+/// overload burst), or a torn-down connection — never a 5xx.
+fn chaos_client(addr: std::net::SocketAddr, rng: &mut sgl_linalg::Rng) -> bool {
+    use std::io::Write as _;
+    let clean = |expected: u16, r: Result<client::HttpReply, String>| match r {
+        Ok(reply) => reply.status == expected || reply.status == 429,
+        Err(_) => true,
+    };
+    match rng.next_u64() % 5 {
+        0 => clean(400, client::raw(addr, b"BREW /coffee HTTP/1.1\r\n\r\n")),
+        1 => clean(
+            413,
+            client::raw(
+                addr,
+                b"POST /resistances HTTP/1.1\r\ncontent-length: 99999999999\r\n\r\n",
+            ),
+        ),
+        2 => clean(400, client::raw(addr, b"\x00\x01\x02\x7f\r\n\r\n")),
+        3 => TcpStream::connect(addr).is_ok(),
+        _ => match TcpStream::connect(addr) {
+            Ok(mut s) => {
+                let _ = s.write_all(b"POST /resistances HTTP/1.1\r\ncontent-len");
+                true
+            }
+            Err(_) => false,
+        },
+    }
+}
+
+/// Seeded chaos across publishes: waves of a ~10x-capacity burst plus
+/// adversarial clients, with an HTTP ingest between waves — one of
+/// which kills the writer. Excess load is shed with `429`, every `200`
+/// bit-matches the snapshot pinned for its wave, the queue stays within
+/// its capacity, and the restarted writer loses no columns.
+#[test]
+fn seeded_chaos_waves_with_a_killed_writer_stay_version_consistent() {
+    let queue_capacity = 4usize;
+    let (burst, chaos_per_wave) = (10 * queue_capacity, 5usize);
+    let plan = Arc::new(FaultPlan::new().with_fault(FaultKind::WriterPanic, 1));
+    let serve_opts = ServeOptions {
+        batch_window: Duration::from_millis(5),
+        fault_plan: Some(Arc::clone(&plan)),
+        ..ServeOptions::default()
+    };
+    let net_opts = NetOptions {
+        workers: 2,
+        queue_capacity,
+        ..NetOptions::default()
+    };
+    let (session, _, all) = fixture(8);
+    let server = SglServer::new(session, serve_opts).unwrap();
+    let net = NetServer::bind(server, loopback(), net_opts).unwrap();
+    let addr = net.local_addr();
+    let pinned = net.serve_handle();
+    let pool: Vec<Vec<(usize, usize)>> = (0..8)
+        .map(|i| sgl_core::sample_node_pairs(36, 4, 0xC4A0 + i))
+        .collect();
+    let column_batch = |lo: usize, hi: usize| {
+        let cols: Vec<Vec<f64>> = (lo..hi).map(|j| all.voltages().column(j)).collect();
+        Measurements::from_voltages(DenseMatrix::from_columns(&cols)).unwrap()
+    };
+
+    let (mut ok, mut shed) = (0u64, 0u64);
+    for (wave, (lo, hi)) in [(8usize, 9usize), (9, 10), (10, 12)]
+        .into_iter()
+        .enumerate()
+    {
+        // Between waves the ingest path is quiescent, so every answer in
+        // the wave must come from this pinned version.
+        let snap = pinned.snapshot();
+        let canonical: Vec<Vec<f64>> = pool.iter().map(|p| snap.resistances(p).unwrap()).collect();
+        let barrier = Arc::new(Barrier::new(burst + chaos_per_wave));
+        let mut queries = Vec::new();
+        for i in 0..burst {
+            let barrier = Arc::clone(&barrier);
+            let set = (wave * burst + i) % pool.len();
+            let pairs: Vec<Vec<f64>> = pool[set]
+                .iter()
+                .map(|&(s, t)| vec![s as f64, t as f64])
+                .collect();
+            let body = format!("{{\"pairs\":{}}}", json::f64_matrix(&pairs));
+            queries.push(std::thread::spawn(move || {
+                barrier.wait();
+                (set, client::post(addr, "/resistances", &body))
+            }));
+        }
+        let mut chaos = Vec::new();
+        for c in 0..chaos_per_wave {
+            let barrier = Arc::clone(&barrier);
+            let mut rng =
+                sgl_linalg::Rng::seed_from_u64(0xC4A0_5EED ^ ((wave as u64) << 8) ^ c as u64);
+            chaos.push(std::thread::spawn(move || {
+                barrier.wait();
+                chaos_client(addr, &mut rng)
+            }));
+        }
+        for t in queries {
+            let (set, reply) = t.join().unwrap();
+            let reply = reply.expect("every burst client gets an answer");
+            match reply.status {
+                200 => {
+                    ok += 1;
+                    let parsed = reply.json().unwrap();
+                    let version = parsed.get("version").and_then(|v| v.as_usize());
+                    assert_eq!(version, Some(snap.version() as usize), "wave {wave}");
+                    let got: Vec<f64> = parsed
+                        .get("resistances")
+                        .and_then(|v| v.as_array())
+                        .unwrap()
+                        .iter()
+                        .map(|x| x.as_f64().unwrap())
+                        .collect();
+                    assert_eq!(got, canonical[set], "wave {wave}: torn answer");
+                }
+                429 => {
+                    shed += 1;
+                    assert!(reply.header("retry-after").is_some());
+                }
+                other => panic!("wave {wave}: unexpected status {other}"),
+            }
+        }
+        for t in chaos {
+            assert!(t.join().unwrap(), "wave {wave}: unclean reaction to junk");
+        }
+
+        let reply = client::post(addr, "/ingest", &ingest_body(&column_batch(lo, hi))).unwrap();
+        assert_eq!(reply.status, 202, "quiescent ingest must be accepted");
+        let reply = client::post(addr, "/flush", "").unwrap();
+        assert_eq!(reply.status, 200, "flush must succeed after a restart");
+    }
+
+    assert!(ok > 0, "nothing admitted");
+    assert!(
+        shed > 0,
+        "a {burst}-client burst over {queue_capacity} slots must shed"
+    );
+    assert_eq!(plan.injected_count(), 1, "the writer kill never fired");
+    assert_eq!(net.serve_stats().writer_restarts, 1);
+    let depth = net.stats().max_queue_depth;
+    assert!(depth <= queue_capacity as u64, "queue depth {depth}");
+    let session = net.shutdown().unwrap();
+    assert_eq!(session.measurements().num_measurements(), 12);
+}

@@ -79,7 +79,7 @@ fn recorder_never_perturbs_results_at_any_thread_count() {
     // The span tree carries the per-iteration phases the profile
     // tooling keys on.
     for events in [&events_1, &events_2] {
-        for phase in ["iteration", "score", "densify", "refine", "knn_build"] {
+        for phase in ["iteration", "score", "densify", "reembed", "knn_build"] {
             assert!(
                 events.iter().any(|e| e.name == phase),
                 "traced run is missing the `{phase}` span"

@@ -96,6 +96,53 @@ fn faulted_run_recovers_to_the_fault_free_graph() {
     }
 }
 
+/// Step a session to completion with eight effective-resistance probes
+/// after every iteration — the telemetry traffic a seeded plan fires on.
+/// Probes a fault reaches are dropped; learning itself must recover.
+fn learn_probed(meas: &Measurements, faults: Option<Arc<FaultPlan>>) -> LearnResult {
+    let cfg = SglConfig::builder()
+        .tol(1e-4)
+        .max_iterations(40)
+        .parallelism(1)
+        .build()
+        .unwrap();
+    let probes = sgl_core::sample_node_pairs(meas.num_nodes(), 8, 0x9E0B);
+    let mut session = SglSession::new(cfg, meas).unwrap();
+    if let Some(plan) = faults {
+        session.set_fault_plan(plan);
+    }
+    while !session.is_done() {
+        session.step().unwrap();
+        if !session.is_done() {
+            let _ = session
+                .resistance_estimator()
+                .and_then(|est| est.resistances(&probes));
+        }
+    }
+    session.finish().unwrap()
+}
+
+/// The standard seeded schedule on a probed grid run: it fires, and the
+/// run still lands on the fault-free graph.
+#[test]
+fn seeded_fault_plan_on_a_probed_run_keeps_the_learned_graph() {
+    let meas = Measurements::generate(&sgl_datasets::grid2d(14, 14), 15, 7).unwrap();
+    let clean = learn_probed(&meas, None);
+    let plan = Arc::new(FaultPlan::seeded(42));
+    let faulted = learn_probed(&meas, Some(Arc::clone(&plan)));
+    assert!(plan.injected_count() >= 1, "the seeded plan never fired");
+    assert_same_topology(&clean.graph, &faulted.graph, "seeded faults");
+    for (ec, ef) in clean.graph.edges().iter().zip(faulted.graph.edges()) {
+        let drift = (ec.weight - ef.weight).abs() / ec.weight.abs().max(1e-300);
+        assert!(
+            drift <= 1e-6,
+            "edge ({},{}) drifted {drift:.3e} under seeded faults",
+            ec.u,
+            ec.v
+        );
+    }
+}
+
 /// Fault opportunities advance on the serial control path, so the same
 /// schedule fires at the same logical instant at any thread count — a
 /// faulted run is bit-identical at 1 vs N workers.

@@ -240,3 +240,34 @@ fn micro_batching_preserves_answers_and_isolates_bad_requests() {
     ));
     assert_eq!(good.value, snap.resistances(&[(0, 35)]).unwrap());
 }
+
+/// Republishing after each ingest rides the incremental solver path:
+/// the streamed edges are absorbed as delta updates on the cached
+/// factorization instead of one refactorization per publish.
+#[test]
+fn republishes_ride_incremental_delta_updates() {
+    let truth = sgl_datasets::grid2d(12, 12);
+    let all = Measurements::generate(&truth, 12, 7).unwrap();
+    let cfg = SglConfig::default().with_tol(0.0).with_max_iterations(6);
+    let mut session = SglSession::from_owned(cfg, column_batch(&all, 0, 7)).unwrap();
+    session.run_to_completion().unwrap();
+    let server = SglServer::new(session, ServeOptions::default()).unwrap();
+    let reader = server.handle();
+    for (lo, hi) in [(7usize, 8usize), (8, 10), (10, 12)] {
+        server.ingest(column_batch(&all, lo, hi)).unwrap();
+        server.flush().unwrap();
+    }
+    let publishes = server.stats().snapshots_published as usize;
+    assert_eq!(publishes, 3);
+    let rev = reader.snapshot().revision_stats();
+    assert!(
+        rev.delta_updates > 0,
+        "no publish took the delta path: {rev:?}"
+    );
+    assert!(
+        rev.handles_built < publishes,
+        "{} full builds for {publishes} publishes: {rev:?}",
+        rev.handles_built
+    );
+    server.shutdown().unwrap();
+}

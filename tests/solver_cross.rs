@@ -2,17 +2,47 @@
 //! eigensolver families must agree with each other and with dense
 //! reference computations.
 
-use sgl_core::{smallest_nonzero_eigenvalues, SpectrumMethod};
+use sgl_core::{
+    pairwise_effective_resistances, sample_node_pairs, smallest_nonzero_eigenvalues,
+    spectral_embedding, EmbeddingOptions, PolicyMethod, ResistanceSketch, SolverPolicy,
+    SpectralSketch, SpectrumMethod,
+};
 use sgl_graph::laplacian::laplacian_csr;
 use sgl_graph::Graph;
 use sgl_linalg::{vecops, Rng, SymEig};
-use sgl_solver::{LaplacianSolver, SolverMethod, SolverOptions};
+use sgl_solver::{AmgHierarchy, AmgOptions, LaplacianSolver, SolverMethod, SolverOptions};
 
 fn mean_zero_rhs(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = Rng::seed_from_u64(seed);
     let mut b = rng.normal_vec(n);
     vecops::project_out_mean(&mut b);
     b
+}
+
+/// A random connected graph: a random spanning tree plus `extra`
+/// chords, weights spread over `decades` orders of magnitude.
+fn random_connected_graph(n: usize, extra: usize, decades: f64, seed: u64) -> Graph {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut g = Graph::new(n);
+    for v in 1..n {
+        g.add_edge(
+            rng.below(v),
+            v,
+            10f64.powf(rng.uniform_in(-decades, decades)),
+        );
+    }
+    let mut added = 0;
+    for _ in 0..20 * extra {
+        if added == extra {
+            break;
+        }
+        let (u, v) = (rng.below(n), rng.below(n));
+        if u != v && !g.has_edge(u, v) {
+            g.add_edge(u, v, 10f64.powf(rng.uniform_in(-decades, decades)));
+            added += 1;
+        }
+    }
+    g
 }
 
 #[test]
@@ -52,25 +82,64 @@ fn all_solver_backends_agree_on_meshes_and_circuits() {
 
 #[test]
 fn solver_matches_dense_pseudoinverse() {
-    let g = sgl_datasets::grid2d(6, 6);
-    let n = g.num_nodes();
-    let b = mean_zero_rhs(n, 7);
-    let solver = LaplacianSolver::new(&g, SolverOptions::default()).unwrap();
-    let x = solver.solve(&b).unwrap();
-    // Dense reference via eigendecomposition pseudoinverse.
-    let eig = SymEig::compute(&laplacian_csr(&g).to_dense()).unwrap();
-    let mut x_ref = vec![0.0; n];
-    for k in 1..n {
-        let v = eig.vectors.column(k);
-        let c = vecops::dot(&v, &b) / eig.values[k];
-        vecops::axpy(c, &v, &mut x_ref);
+    // A mesh and seeded random connected graphs against the dense
+    // pseudo-inverse: solves, exact resistances and the full-width
+    // spectral sketch match it; the JL sketch at the eq.-18 projection
+    // count stays within (1 ± ε); a truncated embedding distance never
+    // exceeds the resistance (eq. 20).
+    let eps = 0.5;
+    let mut cases = vec![(sgl_datasets::grid2d(6, 6), 7u64)];
+    for seed in [3u64, 11, 19, 27] {
+        let g = random_connected_graph(10 + seed as usize % 9, 4, 0.5, seed);
+        cases.push((g, seed));
     }
-    let d = vecops::sub(&x, &x_ref);
-    assert!(
-        vecops::norm2(&d) < 1e-7,
-        "dense mismatch {}",
-        vecops::norm2(&d)
-    );
+    for (g, seed) in &cases {
+        let seed = *seed;
+        let n = g.num_nodes();
+        let b = mean_zero_rhs(n, seed);
+        let solver = LaplacianSolver::new(g, SolverOptions::default()).unwrap();
+        let x = solver.solve(&b).unwrap();
+        let eig = SymEig::compute(&laplacian_csr(g).to_dense()).unwrap();
+        let mut x_ref = vec![0.0; n];
+        for k in 1..n {
+            let v = eig.vectors.column(k);
+            let c = vecops::dot(&v, &b) / eig.values[k];
+            vecops::axpy(c, &v, &mut x_ref);
+        }
+        let d = vecops::norm2(&vecops::sub(&x, &x_ref));
+        assert!(d < 1e-7, "seed {seed}: dense mismatch {d}");
+
+        let pairs = sample_node_pairs(n, 6, seed);
+        let exact = pairwise_effective_resistances(g, &pairs).unwrap();
+        let spectral = SpectralSketch::build(g, 0, seed).unwrap();
+        let q = ResistanceSketch::recommended_projections(n, eps);
+        let jl = ResistanceSketch::build(g, q, seed ^ 0x9E37).unwrap();
+        let emb = spectral_embedding(g, 3, 0.0, &EmbeddingOptions::default()).unwrap();
+        for (k, &(s, t)) in pairs.iter().enumerate() {
+            let r: f64 = (1..n)
+                .map(|k| (eig.vectors.get(s, k) - eig.vectors.get(t, k)).powi(2) / eig.values[k])
+                .sum();
+            assert!(
+                (exact[k] - r).abs() <= 1e-6 * (1.0 + r),
+                "seed {seed}: exact ({s},{t})"
+            );
+            let est = spectral.estimate(s, t).unwrap();
+            assert!(
+                (est - r).abs() <= 1e-5 * (1.0 + r),
+                "seed {seed}: spectral ({s},{t})"
+            );
+            let est = jl.estimate(s, t).unwrap();
+            assert!(
+                est >= (1.0 - eps) * r && est <= (1.0 + eps) * r,
+                "seed {seed}: jl ({s},{t}) {est} outside (1±ε)·{r}"
+            );
+            let z = emb.distance_sq(s, t);
+            assert!(
+                z <= r * (1.0 + 1e-6) + 1e-9,
+                "seed {seed}: z^emb {z} > R_eff {r}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -93,37 +162,47 @@ fn eigenvalue_methods_agree_with_dense() {
 
 #[test]
 fn weighted_graphs_are_handled() {
-    // Heavily heterogeneous weights (6 decades) must not break any backend.
-    let mut g = Graph::new(30);
-    let mut rng = Rng::seed_from_u64(5);
-    for i in 0..29 {
-        g.add_edge(i, i + 1, 10f64.powf(rng.uniform_in(-3.0, 3.0)));
-    }
-    for _ in 0..15 {
-        let u = rng.below(30);
-        let v = rng.below(30);
-        if u != v && !g.has_edge(u, v) {
-            g.add_edge(u, v, 10f64.powf(rng.uniform_in(-3.0, 3.0)));
+    // Heterogeneous weights (6 decades) on random connected graphs: every
+    // policy method must agree with the dense Cholesky reference, and the
+    // AMG V-cycle must stay a valid (symmetric, positive) preconditioner.
+    for seed in [5u64, 17, 29, 41] {
+        let n = 20 + (seed as usize % 11);
+        let g = random_connected_graph(n, n / 2, 3.0, seed);
+        let b = mean_zero_rhs(n, seed ^ 6);
+        let reference = SolverPolicy::default()
+            .with_method(PolicyMethod::DenseCholesky)
+            .build_handle(&g)
+            .unwrap()
+            .solve(&b)
+            .unwrap();
+        for method in [
+            PolicyMethod::Auto,
+            PolicyMethod::TreePcg,
+            PolicyMethod::AmgPcg,
+            PolicyMethod::JacobiPcg,
+            PolicyMethod::IcholPcg,
+        ] {
+            let x = SolverPolicy::default()
+                .with_method(method)
+                .build_handle(&g)
+                .unwrap()
+                .solve(&b)
+                .unwrap();
+            let d = vecops::sub(&x, &reference);
+            assert!(
+                vecops::norm2(&d) / vecops::norm2(&reference) < 1e-6,
+                "seed {seed}: {method:?} disagrees with the dense reference"
+            );
         }
-    }
-    let b = mean_zero_rhs(30, 6);
-    let l = laplacian_csr(&g);
-    for m in [SolverMethod::TreePcg, SolverMethod::AmgPcg] {
-        let s = LaplacianSolver::new(
-            &g,
-            SolverOptions {
-                method: m,
-                ..SolverOptions::default()
-            },
-        )
-        .unwrap();
-        let x = s.solve(&b).unwrap();
-        let lx = l.matvec(&x);
-        let mut r = vecops::sub(&b, &lx);
-        vecops::project_out_mean(&mut r);
+
+        let h = AmgHierarchy::build(&g, &AmgOptions::default());
+        let (a, c) = (mean_zero_rhs(n, seed ^ 3), mean_zero_rhs(n, seed ^ 4));
+        let (ma, mc) = (h.v_cycle(&a), h.v_cycle(&c));
+        let scale = vecops::norm2(&a) * vecops::norm2(&mc) + vecops::norm2(&c) * vecops::norm2(&ma);
         assert!(
-            vecops::norm2(&r) / vecops::norm2(&b) < 1e-7,
-            "{m:?} residual too large"
+            (vecops::dot(&a, &mc) - vecops::dot(&c, &ma)).abs() < 1e-9 * scale,
+            "seed {seed}: V-cycle not symmetric"
         );
+        assert!(vecops::dot(&a, &ma) > 0.0 && vecops::dot(&c, &mc) > 0.0);
     }
 }
