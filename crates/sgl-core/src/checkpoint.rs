@@ -280,6 +280,11 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| SglError::Checkpoint("unexpected end of file".into()))
     }
 
+    /// Lines not yet consumed.
+    fn lines_left(&self) -> usize {
+        self.lines.clone().count()
+    }
+
     /// Next line, which must start with `tag`; returns the remaining
     /// whitespace-separated fields.
     fn tagged(&mut self, tag: &str) -> Result<(usize, Vec<&'a str>), SglError> {
@@ -345,7 +350,18 @@ fn parse_strategy(no: usize, tok: &str) -> Result<LearnStrategyKind, SglError> {
 }
 
 fn read_matrix(p: &mut Parser<'_>, nrows: usize, ncols: usize) -> Result<DenseMatrix, SglError> {
-    let mut data = Vec::with_capacity(nrows * ncols);
+    // The shape comes from an unchecked header: validate it against the
+    // file before reserving anything.
+    let len = nrows
+        .checked_mul(ncols)
+        .ok_or_else(|| SglError::Checkpoint(format!("a {nrows} x {ncols} matrix overflows")))?;
+    let left = p.lines_left();
+    if nrows > left {
+        return Err(SglError::Checkpoint(format!(
+            "matrix declares {nrows} rows but only {left} lines remain"
+        )));
+    }
+    let mut data = Vec::new();
     for _ in 0..nrows {
         let (no, toks) = p.tagged("row")?;
         if toks.len() != ncols {
@@ -353,6 +369,11 @@ fn read_matrix(p: &mut Parser<'_>, nrows: usize, ncols: usize) -> Result<DenseMa
                 "line {no}: expected {ncols} values, found {}",
                 toks.len()
             )));
+        }
+        if data.is_empty() {
+            // One row of `ncols` values exists and `nrows` lines remain,
+            // so the full reservation is bounded by the file's size.
+            data.reserve_exact(len);
         }
         for t in toks {
             data.push(parse_f64_bits(no, t)?);
@@ -686,6 +707,38 @@ mod tests {
             parse_checkpoint(&future, quick_config()),
             Err(SglError::Checkpoint(_))
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn oversized_matrix_header_errors_instead_of_aborting() {
+        let truth = grid2d(6, 6);
+        let meas = Measurements::generate(&truth, 12, 46).unwrap();
+        let path = tmp_file("oversized.sglchk");
+        let mut session = SglSession::new(quick_config(), &meas).unwrap();
+        session.step().unwrap();
+        session.checkpoint(&path).unwrap();
+        let full = std::fs::read_to_string(&path).unwrap();
+        let header = full
+            .lines()
+            .find(|l| l.starts_with("measurements "))
+            .unwrap()
+            .to_string();
+        for (patched, why) in [
+            ("measurements 100000000000 1000 0", "lines remain"),
+            ("measurements 18446744073709551615 2 0", "overflows"),
+            (
+                "measurements 36 100000000000 0",
+                "expected 100000000000 values",
+            ),
+        ] {
+            std::fs::write(&path, full.replacen(&header, patched, 1)).unwrap();
+            let err = SglSession::restore(&path, quick_config()).unwrap_err();
+            assert!(
+                matches!(&err, SglError::Checkpoint(m) if m.contains(why)),
+                "{patched}: wrong error {err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

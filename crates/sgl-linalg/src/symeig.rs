@@ -53,21 +53,7 @@ impl SymEig {
                 vectors: DenseMatrix::zeros(0, 0),
             });
         }
-        // Symmetrize defensively (callers may have tiny round-off skew).
-        let mut z = DenseMatrix::from_fn(n, n, |i, j| 0.5 * (a.get(i, j) + a.get(j, i)));
-        let mut d = vec![0.0; n]; // diagonal
-        let mut e = vec![0.0; n]; // off-diagonal
-        tred2(&mut z, &mut d, &mut e);
-        tql2(&mut z, &mut d, &mut e)?;
-        // Sort ascending, permuting eigenvector columns.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).unwrap());
-        let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-        let mut vectors = DenseMatrix::zeros(n, n);
-        for (newj, &oldj) in order.iter().enumerate() {
-            vectors.set_column(newj, &z.column(oldj));
-        }
-        Ok(SymEig { values, vectors })
+        decompose::<true>(a)
     }
 
     /// Smallest eigenvalue.
@@ -81,14 +67,60 @@ impl SymEig {
     }
 }
 
+/// Flat index of element `(i, j)` of an `n × n` matrix: column-major
+/// when `COL_MAJOR`, row-major otherwise. `tred2`/`tql2` walk columns in
+/// every inner loop, so the column-major buffer keeps them on contiguous
+/// memory (a row-major column walk at n = 512 strides 4 KiB and aliases
+/// cache sets). The arithmetic is the same either way; the row-major
+/// instantiation exists so tests can prove the results bit-identical.
+#[inline(always)]
+fn at<const COL_MAJOR: bool>(n: usize, i: usize, j: usize) -> usize {
+    if COL_MAJOR {
+        j * n + i
+    } else {
+        i * n + j
+    }
+}
+
+/// `tred2` + `tql2` on the symmetrized input in the given layout, with
+/// eigenpairs sorted ascending.
+fn decompose<const COL_MAJOR: bool>(a: &DenseMatrix) -> Result<SymEig, LinalgError> {
+    let n = a.nrows();
+    // Symmetrize defensively (callers may have tiny round-off skew). The
+    // result is exactly symmetric, hence its own transpose: the same
+    // buffer is the matrix in either layout.
+    let mut z: Vec<f64> = (0..n * n)
+        .map(|k| {
+            let (i, j) = (k / n, k % n);
+            0.5 * (a.get(i, j) + a.get(j, i))
+        })
+        .collect();
+    let mut d = vec![0.0; n]; // diagonal
+    let mut e = vec![0.0; n]; // off-diagonal
+    tred2::<COL_MAJOR>(&mut z, &mut d, &mut e);
+    tql2::<COL_MAJOR>(&mut z, &mut d, &mut e)?;
+    Ok(sorted::<COL_MAJOR>(&z, &d))
+}
+
+/// Sort eigenvalues ascending, gathering the matching columns of `z`.
+fn sorted<const COL_MAJOR: bool>(z: &[f64], d: &[f64]) -> SymEig {
+    let n = d.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).unwrap());
+    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
+    let vectors = DenseMatrix::from_fn(n, n, |i, newj| z[at::<COL_MAJOR>(n, i, order[newj])]);
+    SymEig { values, vectors }
+}
+
 /// Householder reduction of a real symmetric matrix to tridiagonal form
-/// with accumulated transformations (port of JAMA's `tred2`). On exit `z`
-/// holds the orthogonal transformation, `d` the diagonal and `e[1..]` the
+/// with accumulated transformations (port of JAMA's `tred2`). `z` is the
+/// `n × n` matrix in the layout chosen by [`at`]. On exit it holds the
+/// orthogonal transformation, `d` the diagonal and `e[1..]` the
 /// sub-diagonal.
-fn tred2(z: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
+fn tred2<const COL_MAJOR: bool>(z: &mut [f64], d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
     for j in 0..n {
-        d[j] = z.get(n - 1, j);
+        d[j] = z[at::<COL_MAJOR>(n, n - 1, j)];
     }
     for i in (1..n).rev() {
         // Scale to avoid under/overflow.
@@ -100,9 +132,9 @@ fn tred2(z: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
         if scale == 0.0 {
             e[i] = d[i - 1];
             for j in 0..i {
-                d[j] = z.get(i - 1, j);
-                z.set(i, j, 0.0);
-                z.set(j, i, 0.0);
+                d[j] = z[at::<COL_MAJOR>(n, i - 1, j)];
+                z[at::<COL_MAJOR>(n, i, j)] = 0.0;
+                z[at::<COL_MAJOR>(n, j, i)] = 0.0;
             }
         } else {
             // Generate the Householder vector.
@@ -124,11 +156,11 @@ fn tred2(z: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
             // Apply similarity transformation to remaining columns.
             for j in 0..i {
                 f = d[j];
-                z.set(j, i, f);
-                g = e[j] + z.get(j, j) * f;
+                z[at::<COL_MAJOR>(n, j, i)] = f;
+                g = e[j] + z[at::<COL_MAJOR>(n, j, j)] * f;
                 for k in (j + 1)..i {
-                    g += z.get(k, j) * d[k];
-                    e[k] += z.get(k, j) * f;
+                    g += z[at::<COL_MAJOR>(n, k, j)] * d[k];
+                    e[k] += z[at::<COL_MAJOR>(n, k, j)] * f;
                 }
                 e[j] = g;
             }
@@ -145,50 +177,54 @@ fn tred2(z: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
                 f = d[j];
                 g = e[j];
                 for k in j..i {
-                    let v = z.get(k, j) - (f * e[k] + g * d[k]);
-                    z.set(k, j, v);
+                    let v = z[at::<COL_MAJOR>(n, k, j)] - (f * e[k] + g * d[k]);
+                    z[at::<COL_MAJOR>(n, k, j)] = v;
                 }
-                d[j] = z.get(i - 1, j);
-                z.set(i, j, 0.0);
+                d[j] = z[at::<COL_MAJOR>(n, i - 1, j)];
+                z[at::<COL_MAJOR>(n, i, j)] = 0.0;
             }
         }
         d[i] = h;
     }
     // Accumulate transformations.
     for i in 0..n.saturating_sub(1) {
-        z.set(n - 1, i, z.get(i, i));
-        z.set(i, i, 1.0);
+        z[at::<COL_MAJOR>(n, n - 1, i)] = z[at::<COL_MAJOR>(n, i, i)];
+        z[at::<COL_MAJOR>(n, i, i)] = 1.0;
         let h = d[i + 1];
         if h != 0.0 {
             for k in 0..=i {
-                d[k] = z.get(k, i + 1) / h;
+                d[k] = z[at::<COL_MAJOR>(n, k, i + 1)] / h;
             }
             for j in 0..=i {
                 let mut g = 0.0;
                 for k in 0..=i {
-                    g += z.get(k, i + 1) * z.get(k, j);
+                    g += z[at::<COL_MAJOR>(n, k, i + 1)] * z[at::<COL_MAJOR>(n, k, j)];
                 }
                 for k in 0..=i {
-                    let v = z.get(k, j) - g * d[k];
-                    z.set(k, j, v);
+                    let v = z[at::<COL_MAJOR>(n, k, j)] - g * d[k];
+                    z[at::<COL_MAJOR>(n, k, j)] = v;
                 }
             }
         }
         for k in 0..=i {
-            z.set(k, i + 1, 0.0);
+            z[at::<COL_MAJOR>(n, k, i + 1)] = 0.0;
         }
     }
     for j in 0..n {
-        d[j] = z.get(n - 1, j);
-        z.set(n - 1, j, 0.0);
+        d[j] = z[at::<COL_MAJOR>(n, n - 1, j)];
+        z[at::<COL_MAJOR>(n, n - 1, j)] = 0.0;
     }
-    z.set(n - 1, n - 1, 1.0);
+    z[at::<COL_MAJOR>(n, n - 1, n - 1)] = 1.0;
     e[0] = 0.0;
 }
 
 /// Implicit-shift QL iteration for a symmetric tridiagonal matrix with
 /// accumulated eigenvectors (port of JAMA's `tql2`).
-fn tql2(z: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
+fn tql2<const COL_MAJOR: bool>(
+    z: &mut [f64],
+    d: &mut [f64],
+    e: &mut [f64],
+) -> Result<(), LinalgError> {
     let n = d.len();
     if n <= 1 {
         return Ok(());
@@ -260,9 +296,9 @@ fn tql2(z: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgE
                     d[i + 1] = h + s * (c * g + s * d[i]);
                     // Accumulate eigenvectors.
                     for k in 0..n {
-                        h = z.get(k, i + 1);
-                        z.set(k, i + 1, s * z.get(k, i) + c * h);
-                        z.set(k, i, c * z.get(k, i) - s * h);
+                        h = z[at::<COL_MAJOR>(n, k, i + 1)];
+                        z[at::<COL_MAJOR>(n, k, i + 1)] = s * z[at::<COL_MAJOR>(n, k, i)] + c * h;
+                        z[at::<COL_MAJOR>(n, k, i)] = c * z[at::<COL_MAJOR>(n, k, i)] - s * h;
                     }
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -298,16 +334,12 @@ pub fn tridiag_eig(diag: &[f64], offdiag: &[f64]) -> Result<SymEig, LinalgError>
     if n > 1 {
         e[1..].copy_from_slice(offdiag);
     }
-    let mut z = DenseMatrix::identity(n);
-    tql2(&mut z, &mut d, &mut e)?;
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).unwrap());
-    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let mut vectors = DenseMatrix::zeros(n, n);
-    for (newj, &oldj) in order.iter().enumerate() {
-        vectors.set_column(newj, &z.column(oldj));
+    let mut z = vec![0.0; n * n];
+    for i in 0..n {
+        z[i * n + i] = 1.0;
     }
-    Ok(SymEig { values, vectors })
+    tql2::<true>(&mut z, &mut d, &mut e)?;
+    Ok(sorted::<true>(&z, &d))
 }
 
 #[cfg(test)]
@@ -425,6 +457,22 @@ mod tests {
         let dense = SymEig::compute(&a).unwrap();
         for k in 0..4 {
             assert!((t.values[k] - dense.values[k]).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn column_major_layout_is_bit_identical_to_row_major() {
+        for (n, seed) in [(1usize, 1u64), (2, 2), (7, 3), (33, 4), (64, 5), (97, 6)] {
+            let a = random_symmetric(n, seed);
+            let col = decompose::<true>(&a).unwrap();
+            let row = decompose::<false>(&a).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&col.values), bits(&row.values), "values, n = {n}");
+            assert_eq!(
+                bits(col.vectors.as_slice()),
+                bits(row.vectors.as_slice()),
+                "vectors, n = {n}"
+            );
         }
     }
 

@@ -20,11 +20,14 @@
 //! base solutions `z_e = L⁺ b_e` (one batched solve through whatever
 //! handle it already holds); [`WoodburyUpdate::correct`] then turns any
 //! base solution `y = L⁺ b` into the updated solution
-//! `(L + Δ)⁺ b = y − Z C⁻¹ Bᵀ y` in place.
+//! `(L + Δ)⁺ b = y − Z C⁻¹ Bᵀ y` in place. The rows of `Z` are shared
+//! (`Arc`), so successive updates over a growing delta set reuse the
+//! rows they have in common instead of copying an `r × n` matrix each.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::symeig::SymEig;
+use std::sync::Arc;
 
 /// Inverse of the small dense capacitance matrix, held spectrally:
 /// `C = V diag(λ) Vᵀ ⇒ C⁻¹ t = V diag(1/λ) Vᵀ t`. An eigendecomposition
@@ -55,21 +58,12 @@ impl CapacitanceInverse {
     }
 
     fn solve(&self, t: &[f64]) -> Vec<f64> {
-        let r = self.values.len();
         // s = V diag(1/λ) Vᵀ t.
-        let vt = self.vectors.matvec_t(t);
-        let scaled: Vec<f64> = vt.iter().zip(&self.values).map(|(x, l)| x / l).collect();
-        let mut s = vec![0.0; r];
-        for (j, &c) in scaled.iter().enumerate() {
-            if c == 0.0 {
-                continue;
-            }
-            let col = self.vectors.column(j);
-            for (si, vj) in s.iter_mut().zip(&col) {
-                *si += c * vj;
-            }
+        let mut scaled = self.vectors.matvec_t(t);
+        for (x, l) in scaled.iter_mut().zip(&self.values) {
+            *x /= l;
         }
-        s
+        self.vectors.matvec(&scaled)
     }
 }
 
@@ -80,8 +74,8 @@ pub struct WoodburyUpdate {
     num_nodes: usize,
     edges: Vec<(usize, usize)>,
     weights: Vec<f64>,
-    /// `r × n`, row `i` = `z_i = L⁺ b_i` (the caller's base solves).
-    z: DenseMatrix,
+    /// Row `i` = `z_i = L⁺ b_i` (the caller's base solves), shared.
+    z: Vec<Arc<[f64]>>,
     /// Spectral inverse of the capacitance `C = W⁻¹ + Bᵀ Z`.
     capacitance: CapacitanceInverse,
 }
@@ -89,7 +83,8 @@ pub struct WoodburyUpdate {
 impl WoodburyUpdate {
     /// Prepare the correction for delta edges `(u_i, v_i)` with weight
     /// changes `weights[i]`, given the base solutions
-    /// `z_rows[i] = L⁺ (e_{u_i} − e_{v_i})`.
+    /// `z_rows[i] = L⁺ (e_{u_i} − e_{v_i})`. The rows are kept by
+    /// reference, not copied.
     ///
     /// # Errors
     /// Returns [`LinalgError::InvalidInput`] on shape mismatches, empty
@@ -102,7 +97,7 @@ impl WoodburyUpdate {
         num_nodes: usize,
         edges: Vec<(usize, usize)>,
         weights: Vec<f64>,
-        z_rows: &[Vec<f64>],
+        z_rows: Vec<Arc<[f64]>>,
     ) -> Result<Self, LinalgError> {
         let r = edges.len();
         if r == 0 {
@@ -132,8 +127,7 @@ impl WoodburyUpdate {
                 )));
             }
         }
-        let mut z = DenseMatrix::zeros(r, num_nodes);
-        for (i, zi) in z_rows.iter().enumerate() {
+        for zi in &z_rows {
             if zi.len() != num_nodes {
                 return Err(LinalgError::DimensionMismatch {
                     context: "woodbury base solution",
@@ -141,7 +135,6 @@ impl WoodburyUpdate {
                     actual: zi.len(),
                 });
             }
-            z.row_mut(i).copy_from_slice(zi);
         }
         // C_{ij} = δ_{ij}/w_i + b_iᵀ z_j. Exactly symmetric in theory;
         // iterative base solves leave a tiny skew, so symmetrize before
@@ -149,8 +142,7 @@ impl WoodburyUpdate {
         let mut cap = DenseMatrix::zeros(r, r);
         for i in 0..r {
             let (u, v) = edges[i];
-            for j in 0..r {
-                let zj = z.row(j);
+            for (j, zj) in z_rows.iter().enumerate() {
                 let mut c = zj[u] - zj[v];
                 if i == j {
                     c += 1.0 / weights[i];
@@ -170,7 +162,7 @@ impl WoodburyUpdate {
             num_nodes,
             edges,
             weights,
-            z,
+            z: z_rows,
             capacitance,
         })
     }
@@ -204,18 +196,16 @@ impl WoodburyUpdate {
     /// Panics if `y.len()` differs from the prepared dimension.
     pub fn correct(&self, y: &mut [f64]) {
         assert_eq!(y.len(), self.num_nodes, "woodbury correct: length");
-        let r = self.rank();
-        let mut t = Vec::with_capacity(r);
+        let mut t = Vec::with_capacity(self.rank());
         for &(u, v) in &self.edges {
             t.push(y[u] - y[v]);
         }
         let s = self.capacitance.solve(&t);
-        for i in 0..r {
-            let si = s[i];
+        for (&si, zi) in s.iter().zip(&self.z) {
             if si == 0.0 {
                 continue;
             }
-            for (yk, zk) in y.iter_mut().zip(self.z.row(i)) {
+            for (yk, zk) in y.iter_mut().zip(zi.iter()) {
                 *yk -= si * zk;
             }
         }
@@ -273,16 +263,16 @@ mod tests {
         let solve0 = pseudo_solver(&base);
         let edges = vec![(0usize, 4usize), (2, 7), (1, 2)];
         let weights = vec![0.8, 1.2, 0.5];
-        let z_rows: Vec<Vec<f64>> = edges
+        let z_rows: Vec<Arc<[f64]>> = edges
             .iter()
             .map(|&(u, v)| {
                 let mut b = vec![0.0; n];
                 b[u] = 1.0;
                 b[v] = -1.0;
-                solve0(&b)
+                solve0(&b).into()
             })
             .collect();
-        let wb = WoodburyUpdate::new(n, edges.clone(), weights.clone(), &z_rows).unwrap();
+        let wb = WoodburyUpdate::new(n, edges.clone(), weights.clone(), z_rows).unwrap();
         assert_eq!(wb.rank(), 3);
 
         let mut updated = base.clone();
@@ -330,7 +320,7 @@ mod tests {
         b[1] = 1.0;
         b[2] = -1.0;
         let z = solve0(&b);
-        let wb = WoodburyUpdate::new(n, vec![(1, 2)], vec![-1.0], &[z]).unwrap();
+        let wb = WoodburyUpdate::new(n, vec![(1, 2)], vec![-1.0], vec![z.into()]).unwrap();
         let mut updated = base.clone();
         assert!(updated.apply_laplacian_deltas(&[(1, 2, -1.0)]));
         let fresh = pseudo_solver(&updated);
@@ -346,12 +336,14 @@ mod tests {
     #[test]
     fn degenerate_input_is_rejected() {
         let n = 4;
-        let z = vec![vec![0.0; n]];
-        assert!(WoodburyUpdate::new(n, vec![], vec![], &[]).is_err());
-        assert!(WoodburyUpdate::new(n, vec![(0, 0)], vec![1.0], &z).is_err());
-        assert!(WoodburyUpdate::new(n, vec![(0, 9)], vec![1.0], &z).is_err());
-        assert!(WoodburyUpdate::new(n, vec![(0, 1)], vec![0.0], &z).is_err());
-        assert!(WoodburyUpdate::new(n, vec![(0, 1)], vec![1.0], &[vec![0.0; 2]]).is_err());
-        assert!(WoodburyUpdate::new(n, vec![(0, 1), (1, 2)], vec![1.0], &z).is_err());
+        let z = || vec![Arc::from(vec![0.0; n])];
+        assert!(WoodburyUpdate::new(n, vec![], vec![], vec![]).is_err());
+        assert!(WoodburyUpdate::new(n, vec![(0, 0)], vec![1.0], z()).is_err());
+        assert!(WoodburyUpdate::new(n, vec![(0, 9)], vec![1.0], z()).is_err());
+        assert!(WoodburyUpdate::new(n, vec![(0, 1)], vec![0.0], z()).is_err());
+        assert!(
+            WoodburyUpdate::new(n, vec![(0, 1)], vec![1.0], vec![Arc::from(vec![0.0; 2])]).is_err()
+        );
+        assert!(WoodburyUpdate::new(n, vec![(0, 1), (1, 2)], vec![1.0], z()).is_err());
     }
 }

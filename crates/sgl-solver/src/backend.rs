@@ -153,7 +153,7 @@ pub trait SolverBackend: std::fmt::Debug + Send + Sync {
     /// # Errors
     /// Returns [`LinalgError::InvalidInput`] for graphs the backend
     /// cannot prepare (empty, disconnected, too large for a dense
-    /// reference backend, non-tree for `TreeDirect`).
+    /// reference backend, more than 256 off-tree edges for `TreeDirect`).
     fn build(&self, graph: &Graph) -> Result<Arc<dyn SolverHandle>, LinalgError>;
 }
 
@@ -411,13 +411,17 @@ impl SolverHandle for DenseCholeskyHandle {
 /// methods plus the dense Cholesky reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyMethod {
-    /// Let the facade pick: tree solve for trees, tree-PCG for
-    /// near-trees, AMG-PCG otherwise.
+    /// Let the facade pick: the exact near-tree solve for graphs with
+    /// density ≤ 1.4 and at most 256 off-tree edges (trees included),
+    /// tree-PCG for the rest of density ≤ 1.4, AMG-PCG otherwise.
     #[default]
     Auto,
-    /// Exact `O(N)` elimination (graph must be a tree).
+    /// Exact solve: maximum-spanning-tree elimination plus a Woodbury
+    /// correction over the off-tree edges (at most 256). Its revisions
+    /// take the Woodbury delta path.
     TreeDirect,
-    /// PCG preconditioned by a maximum-spanning-tree solve.
+    /// PCG preconditioned by a maximum-spanning-tree solve (16–61
+    /// iterations per right-hand side on learned graphs at `rtol` 1e-10).
     TreePcg,
     /// PCG preconditioned by an aggregation-AMG V-cycle.
     AmgPcg,

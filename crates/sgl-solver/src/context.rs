@@ -16,17 +16,25 @@
 //!
 //! Algorithm 1 adds only `⌈Nβ⌉` edges per iteration, so consecutive
 //! graph revisions differ by a *low-rank* Laplacian update
-//! `L' = L + B W Bᵀ`. Instead of refactoring (tree / IC(0) / AMG
-//! hierarchy / dense Cholesky) from scratch, `apply_deltas` keeps the
-//! existing base handle and wraps it in a
-//! [`WoodburyUpdate`] correction: the corrected
-//! base is a near-exact inverse of the updated operator, and each solve
-//! runs a short PCG against the *true* updated Laplacian with that
-//! correction as the preconditioner — so results still meet the
+//! `L' = L + B W Bᵀ`. Instead of refactoring from scratch, `apply_deltas`
+//! keeps the existing base handle and serves a wrapper that runs a short
+//! PCG against the *true* updated Laplacian — so results still meet the
 //! policy's `rtol` against the current graph, at the cost of
-//! `O(solve + rank·N)` instead of `O(setup + solve)`. A uniform
-//! rescale (Step 5) is even cheaper: `(c·L)⁺ = L⁺/c` needs no new
-//! factorization at all.
+//! `O(solve + rank·N)` instead of `O(setup + solve)`. What preconditions
+//! that PCG depends on the base:
+//!
+//! * **Direct bases** — the exact near-tree solve (`TreeDirect`: a
+//!   spanning-tree elimination plus a Woodbury correction over at most
+//!   256 off-tree edges, which `Auto` picks for the learned graphs) and
+//!   dense Cholesky — have no standalone preconditioner. The base solve
+//!   wrapped in a [`WoodburyUpdate`] over the accumulated delta edges is
+//!   a near-exact inverse of the updated operator, so the outer PCG
+//!   settles in 1–2 iterations.
+//! * **Iterative bases** (tree-, IC(0)-, AMG- and Jacobi-PCG) reuse
+//!   their prepared preconditioner on the updated operator as is.
+//!
+//! A uniform rescale (Step 5) is even cheaper: `(c·L)⁺ = L⁺/c` needs no
+//! new factorization at all.
 //!
 //! Two triggers force a full refactorization: the accumulated delta
 //! rank exceeding its cap of 64 edges, and the corrected solve's outer
@@ -117,8 +125,10 @@ struct DeltaState {
     edges: Vec<(usize, usize)>,
     /// Accumulated signed weight change per delta edge.
     weights: Vec<f64>,
-    /// Base solutions `(c·L₀)⁺ b_e`, aligned with `edges`.
-    z_rows: Vec<Vec<f64>>,
+    /// Base solutions `(c·L₀)⁺ b_e`, aligned with `edges` — shared with
+    /// every revision's [`WoodburyUpdate`], so pinned revisions hold one
+    /// copy of the rows between them.
+    z_rows: Vec<Arc<[f64]>>,
     /// Edge → index in the three vectors above, for merging.
     index: HashMap<(usize, usize), usize>,
     /// Uniform factor applied to the base operator since the build
@@ -527,7 +537,7 @@ impl SolverContext {
                     state.index.insert((u, v), state.edges.len());
                     state.edges.push((u, v));
                     state.weights.push(merged[&(u, v)]);
-                    state.z_rows.push(z);
+                    state.z_rows.push(z.into());
                 }
             }
         }
@@ -543,7 +553,7 @@ impl SolverContext {
                     kept.index.insert(state.edges[i], kept.edges.len());
                     kept.edges.push(state.edges[i]);
                     kept.weights.push(state.weights[i]);
-                    kept.z_rows.push(std::mem::take(&mut state.z_rows[i]));
+                    kept.z_rows.push(Arc::clone(&state.z_rows[i]));
                 }
             }
             state = kept;
@@ -612,7 +622,7 @@ impl SolverContext {
             base.num_nodes(),
             state.edges.clone(),
             state.weights.clone(),
-            &state.z_rows,
+            state.z_rows.clone(),
         ) {
             Ok(u) => Some(Correction::Woodbury(u)),
             Err(_) => None,
@@ -652,15 +662,14 @@ impl SolverContext {
         let mut state = self.delta.take().unwrap_or_else(DeltaState::fresh);
         state.base_scale *= factor;
         // The accumulated delta edges were scaled along with the rest of
-        // the graph; their base solutions shrink by the same factor.
+        // the graph; their base solutions shrink by the same factor (new
+        // rows: revisions still serving the old scale keep theirs).
         let inv = 1.0 / factor;
         for w in &mut state.weights {
             *w *= factor;
         }
         for z in &mut state.z_rows {
-            for x in z.iter_mut() {
-                *x *= inv;
-            }
+            *z = z.iter().map(|x| x * inv).collect();
         }
         // As in `apply_deltas`: drop the outgoing wrapper before
         // mutating the shared CSR so the rescale stays in place.
@@ -871,7 +880,7 @@ enum Correction {
     /// well — run PCG against the new Laplacian with the stale setup.
     /// Zero preparation cost per revision.
     StalePrecond(Arc<dyn Preconditioner + Send + Sync>),
-    /// Direct base (exact tree solve, dense Cholesky): the
+    /// Direct base (exact near-tree solve, dense Cholesky): the
     /// Woodbury-corrected base solve is a near-exact inverse of the
     /// updated operator, so the outer PCG settles in a couple of
     /// iterations. Costs one batched base solve per new delta edge at
@@ -1435,6 +1444,79 @@ mod tests {
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 2);
         assert_matches_fresh(&mut ctx, &g, 22, 1e-8);
+    }
+
+    #[test]
+    fn revisions_share_base_solution_rows() {
+        // Two pinned revisions over a growing delta set hold the first
+        // batch's rows once between them, not one copy each.
+        let n = 30;
+        let mut g = Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1, 1.0)));
+        let mut ctx = SolverContext::new(SolverPolicy::default());
+        ctx.handle_for(&g).unwrap();
+        g.add_edge(0, 15, 0.5);
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 15, 0.5)])
+            .unwrap();
+        let first = ctx.handle_for(&g).unwrap();
+        g.add_edge(7, 22, 1.0);
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(7, 22, 1.0)])
+            .unwrap();
+        let second = ctx.handle_for(&g).unwrap();
+        assert_eq!(second.method_name(), "revision-woodbury");
+        let row = &ctx.delta.as_ref().unwrap().z_rows[0];
+        // The context's state plus one reference per live revision.
+        assert_eq!(Arc::strong_count(row), 3);
+        drop((first, second));
+        let row = &ctx.delta.as_ref().unwrap().z_rows[0];
+        assert_eq!(Arc::strong_count(row), 2, "the context still serves one");
+    }
+
+    #[test]
+    fn near_tree_base_stays_exact_across_stacked_batches() {
+        // Auto on a tree plus a few chords builds the direct near-tree
+        // solve; its revisions run in Woodbury mode and every corrected
+        // solve settles within 3 outer iterations until the rank cap
+        // forces the rebuild.
+        let n = 200;
+        let mut rng = Rng::seed_from_u64(77);
+        let weight = |rng: &mut Rng| 10f64.powf(rng.uniform_in(-2.0, 2.0));
+        let mut g = Graph::new(n);
+        for v in 1..n {
+            let w = weight(&mut rng);
+            g.add_edge(rng.below(v), v, w);
+        }
+        let chord = |g: &mut Graph, rng: &mut Rng| loop {
+            let (u, v) = (rng.below(n), rng.below(n));
+            if u != v && !g.has_edge(u, v) {
+                let w = weight(rng);
+                g.add_edge(u, v, w);
+                return EdgeDelta::insert(u, v, w);
+            }
+        };
+        for _ in 0..8 {
+            chord(&mut g, &mut rng);
+        }
+        let mut ctx = SolverContext::new(SolverPolicy::default());
+        assert_eq!(ctx.handle_for(&g).unwrap().method_name(), "tree-direct");
+        let batch = 8;
+        for round in 0.. {
+            let deltas: Vec<EdgeDelta> = (0..batch).map(|_| chord(&mut g, &mut rng)).collect();
+            ctx.apply_deltas(&g, &deltas).unwrap();
+            let h = ctx.handle_for(&g).unwrap();
+            if ctx.handles_built() > 1 {
+                assert_eq!(round * batch, MAX_DELTA_RANK, "refreshed before the cap");
+                assert_eq!(ctx.revision_stats().refreshes_on_rank, 1);
+                break;
+            }
+            assert_eq!(h.method_name(), "revision-woodbury");
+            for seed in 0..3 {
+                let before = h.stats().iterations;
+                h.solve(&mean_zero_rhs(n, 1000 + seed)).unwrap();
+                let iters = h.stats().iterations - before;
+                assert!(iters <= 3, "round {round}: {iters} outer iterations");
+            }
+            assert_matches_fresh(&mut ctx, &g, 200 + round as u64, 1e-8);
+        }
     }
 
     #[test]

@@ -28,11 +28,14 @@
 //!
 //! # The kernels (what the backends are built from)
 //!
-//! * [`tree_solver`] — exact `O(N)` elimination on spanning trees;
+//! * [`tree_solver`] — exact `O(N)` elimination on spanning trees, and
+//!   the exact near-tree solve ([`NearTreeSolver`]: a spanning tree plus
+//!   a Woodbury correction over a few off-tree edges — the shape of the
+//!   graphs SGL learns);
 //! * [`preconditioner`] / [`ichol`] — Jacobi, symmetric Gauss–Seidel,
 //!   IC(0) and spanning-tree preconditioners (support-graph
-//!   preconditioning: the learned graph *is* a tree plus a few off-tree
-//!   edges, so a tree solve is a near-ideal preconditioner for it);
+//!   preconditioning for graphs past the near-tree solve's 256 off-tree
+//!   edges);
 //! * [`amg`] — unsmoothed-aggregation algebraic multigrid whose Galerkin
 //!   coarse operators are literal graph contractions;
 //! * [`LaplacianSolver`] — the method-picking facade running projected
@@ -83,4 +86,4 @@ pub use laplacian_solver::{
     LaplacianSolver, SolveScratch, SolverMethod, SolverOptions, SolverStats,
 };
 pub use preconditioner::{GaussSeidelPreconditioner, TreePreconditioner};
-pub use tree_solver::TreeSolver;
+pub use tree_solver::{NearTreeSolver, TreeSolver};

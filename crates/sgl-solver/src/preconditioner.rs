@@ -9,9 +9,12 @@ use sgl_linalg::{CsrMatrix, Preconditioner};
 /// Spanning-tree (support-graph) preconditioner: applies an exact solve on
 /// a maximum spanning tree of the graph.
 ///
-/// For the SGL learned graph — a spanning tree plus `O(N β · iters)`
-/// off-tree edges — this preconditioner is close to exact, and PCG
-/// converges in a handful of iterations.
+/// On SGL's learned graphs — a spanning tree plus `O(N β · iters)`
+/// off-tree edges — PCG with it still takes 16–61 iterations per
+/// right-hand side at `rtol` 1e-10, because every off-tree edge adds an
+/// outlying eigenvalue. With at most 256 off-tree edges the exact
+/// [`NearTreeSolver`](crate::NearTreeSolver) is faster; this
+/// preconditioner serves the graphs past that.
 #[derive(Debug, Clone)]
 pub struct TreePreconditioner {
     solver: TreeSolver,

@@ -213,6 +213,58 @@ fn delta_revised_batch_solves_identical_at_any_thread_count() {
 }
 
 #[test]
+fn near_tree_solves_identical_at_any_thread_count() {
+    use sgl_graph::EdgeDelta;
+    use sgl_solver::SolverContext;
+
+    // The exact near-tree base and its Woodbury revisions honor the
+    // batch determinism contract too.
+    let n = 150;
+    let mut rng = Rng::seed_from_u64(0x7EE);
+    let mut g = Graph::new(n);
+    for v in 1..n {
+        g.add_edge(rng.below(v), v, 10f64.powf(rng.uniform_in(-2.0, 2.0)));
+    }
+    let chord = |g: &mut Graph, rng: &mut Rng| loop {
+        let (u, v) = (rng.below(n), rng.below(n));
+        if u != v && !g.has_edge(u, v) {
+            let w = 10f64.powf(rng.uniform_in(-2.0, 2.0));
+            g.add_edge(u, v, w);
+            return EdgeDelta::insert(u, v, w);
+        }
+    };
+    for _ in 0..32 {
+        chord(&mut g, &mut rng);
+    }
+    let rhs: Vec<Vec<f64>> = (0..6)
+        .map(|_| {
+            let mut b = rng.normal_vec(n);
+            vecops::project_out_mean(&mut b);
+            b
+        })
+        .collect();
+    let mut ctx = SolverContext::new(SolverPolicy::default());
+    let base = ctx.handle_for(&g).unwrap();
+    assert_eq!(base.method_name(), "tree-direct");
+    let deltas: Vec<EdgeDelta> = (0..8).map(|_| chord(&mut g, &mut rng)).collect();
+    ctx.apply_deltas(&g, &deltas).unwrap();
+    let revised = ctx.handle_for(&g).unwrap();
+    assert_eq!(revised.method_name(), "revision-woodbury");
+    for handle in [&base, &revised] {
+        let serial = par::with_threads(1, || handle.solve_batch(&rhs).unwrap());
+        for threads in [2usize, 4] {
+            let par_xs = par::with_threads(threads, || handle.solve_batch(&rhs).unwrap());
+            assert_eq!(
+                par_xs,
+                serial,
+                "{} at {threads} threads",
+                handle.method_name()
+            );
+        }
+    }
+}
+
+#[test]
 fn served_snapshot_queries_identical_at_any_thread_count() {
     // The serving layer inherits the determinism contract: a pinned
     // GraphSnapshot answers resistance and interpolation queries

@@ -143,6 +143,38 @@ fn solver_matches_dense_pseudoinverse() {
 }
 
 #[test]
+fn near_tree_solve_matches_dense_pseudoinverse() {
+    // Spanning trees plus 1, 16 and 64 off-tree edges, weights over four
+    // decades: `Auto` solves them directly (no iteration) and must match
+    // the dense pseudo-inverse to 1e-9 relative.
+    for (extra, seed) in [(1usize, 101u64), (16, 102), (64, 103), (64, 104)] {
+        let n = 200;
+        let g = random_connected_graph(n, extra, 2.0, seed);
+        assert_eq!(g.num_edges(), n - 1 + extra);
+        let handle = SolverPolicy::default().build_handle(&g).unwrap();
+        assert_eq!(
+            handle.method_name(),
+            "tree-direct",
+            "{extra} off-tree edges"
+        );
+        let eig = SymEig::compute(&laplacian_csr(&g).to_dense()).unwrap();
+        let rhs: Vec<Vec<f64>> = (0..3).map(|k| mean_zero_rhs(n, seed * 10 + k)).collect();
+        let xs = handle.solve_batch(&rhs).unwrap();
+        assert_eq!(handle.stats().iterations, 0);
+        for (b, x) in rhs.iter().zip(&xs) {
+            let mut x_ref = vec![0.0; n];
+            for k in 1..n {
+                let v = eig.vectors.column(k);
+                let c = vecops::dot(&v, b) / eig.values[k];
+                vecops::axpy(c, &v, &mut x_ref);
+            }
+            let rel = vecops::norm2(&vecops::sub(x, &x_ref)) / vecops::norm2(&x_ref);
+            assert!(rel < 1e-9, "{extra} off-tree edges, seed {seed}: {rel:.3e}");
+        }
+    }
+}
+
+#[test]
 fn eigenvalue_methods_agree_with_dense() {
     let g = sgl_datasets::circuit_grid(8, 8, 1.7, 3);
     let dense = SymEig::compute(&laplacian_csr(&g).to_dense()).unwrap();
