@@ -185,9 +185,10 @@ impl RefineResistor for JlResistor<'_> {
 
     fn graph_updated(&mut self, graph: &Graph, deltas: &[EdgeDelta]) -> Result<(), SglError> {
         // Weights just changed — report the (usually full-rank) delta to
-        // the context: small graphs absorb it incrementally, larger ones
-        // exceed the delta-rank cap and refactor exactly as before.
-        self.ctx.apply_deltas(graph, deltas).map_err(SglError::from)
+        // the context: small direct bases absorb it incrementally, the
+        // rest refactor exactly as before.
+        self.ctx.apply_deltas(graph, deltas);
+        Ok(())
     }
 }
 

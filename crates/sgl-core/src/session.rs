@@ -677,12 +677,11 @@ impl<'m> SglSession<'m> {
             self.graph.add_edge(c.u, c.v, c.weight);
             deltas.push(EdgeDelta::insert(c.u, c.v, c.weight));
         }
-        // A new graph revision, but a low-rank one: let the solver
-        // context absorb the `⌈Nβ⌉` inserted edges as a Woodbury
-        // correction on its cached factorization instead of refactoring
-        // (it refreshes itself at the policy's delta-rank /
-        // iteration-blow-up cadence).
-        self.solver.apply_deltas(&self.graph, &deltas)?;
+        // A new graph revision, but a low-rank one: over a direct base
+        // the solver context absorbs the `⌈Nβ⌉` inserted edges as a
+        // Woodbury correction instead of refactoring (an iterative base
+        // rebuilds, and the delta-rank cap forces a refresh).
+        self.solver.apply_deltas(&self.graph, &deltas);
         drop(densify_sp);
         let record = self.push_record(smax, added);
         if added == 0 {

@@ -65,7 +65,8 @@ impl From<std::io::Error> for IoError {
 /// [`MatrixKind::Laplacian`] inputs, positive off-diagonals are rejected.
 ///
 /// # Errors
-/// Returns [`IoError`] on malformed headers, counts, or entries.
+/// Returns [`IoError`] on malformed headers, counts, or entries, and on
+/// non-finite values or merged weights.
 pub fn read_matrix_market<R: BufRead>(reader: R, kind: MatrixKind) -> Result<Graph, IoError> {
     let mut lines = reader.lines().enumerate();
     // Header line.
@@ -173,6 +174,12 @@ pub fn read_matrix_market<R: BufRead>(reader: R, kind: MatrixKind) -> Result<Gra
                 message: format!("bad value `{}`", parts[2]),
             })?
         };
+        if !val.is_finite() {
+            return Err(IoError::Parse {
+                line: lineno,
+                message: format!("non-finite value `{}`", parts[2]),
+            });
+        }
         seen += 1;
         if r == c || val == 0.0 {
             continue;
@@ -197,7 +204,13 @@ pub fn read_matrix_market<R: BufRead>(reader: R, kind: MatrixKind) -> Result<Gra
                 -val
             }
         };
-        g.add_edge(r - 1, c - 1, w);
+        let e = g.add_edge(r - 1, c - 1, w);
+        if !g.edge(e).weight.is_finite() {
+            return Err(IoError::Parse {
+                line: lineno,
+                message: format!("merged weight of edge ({r}, {c}) overflows"),
+            });
+        }
     }
     if seen != nnz {
         return Err(IoError::Parse {
@@ -333,6 +346,39 @@ mod tests {
 2 1 3.0
 ";
         assert!(read_matrix_market(Cursor::new(text), MatrixKind::Laplacian).is_err());
+
+        // Hostile values and merged weights are parse errors, not panics.
+        let entries = |values: &[&str]| {
+            let mut text = format!(
+                "%%MatrixMarket matrix coordinate real general\n2 2 {}\n",
+                values.len()
+            );
+            for v in values {
+                text.push_str(&format!("2 1 {v}\n"));
+            }
+            text
+        };
+        for (values, kind) in [
+            (&["NaN"][..], MatrixKind::Adjacency),
+            (&["NaN"], MatrixKind::Laplacian),
+            (&["-NaN"], MatrixKind::Adjacency),
+            (&["-NaN"], MatrixKind::Laplacian),
+            (&["inf"], MatrixKind::Adjacency),
+            (&["inf"], MatrixKind::Laplacian),
+            (&["-inf"], MatrixKind::Adjacency),
+            (&["-inf"], MatrixKind::Laplacian),
+            (&["1e308", "1e308"], MatrixKind::Adjacency),
+            (&["-1e308", "-1e308"], MatrixKind::Laplacian),
+        ] {
+            let r = read_matrix_market(Cursor::new(entries(values)), kind);
+            assert!(
+                matches!(r, Err(IoError::Parse { line: 3.., .. })),
+                "{values:?} as {kind:?}: {r:?}"
+            );
+        }
+        // One 1e308 entry is large but finite.
+        let g = read_matrix_market(Cursor::new(entries(&["1e308"])), MatrixKind::Adjacency);
+        assert_eq!(g.unwrap().edge(0).weight, 1e308);
     }
 
     #[test]

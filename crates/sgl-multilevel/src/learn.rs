@@ -458,10 +458,11 @@ fn densify_level(
             deltas.push(EdgeDelta::insert(c.u, c.v, c.weight));
         }
         added += picked.len();
-        // Low-rank revision: the context keeps its factorization and
-        // absorbs the sweep's insertions as a Woodbury correction (or
-        // refreshes itself at the policy cadence).
-        ctx.apply_deltas(graph, &deltas)?;
+        // Low-rank revision: over a direct base the context keeps its
+        // factorization and absorbs the sweep's insertions as a Woodbury
+        // correction (an iterative base, or one past the delta-rank cap,
+        // rebuilds).
+        ctx.apply_deltas(graph, &deltas);
     }
     Ok((added, warm))
 }

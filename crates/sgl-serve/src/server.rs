@@ -5,7 +5,8 @@
 //! answer queries against the latest published [`GraphSnapshot`]. A
 //! publish is an `Arc` swap through the
 //! [`SnapshotCell`] — readers never block on
-//! the writer, and a refresh costs the session's incremental solver
+//! the writer, and over the direct near-tree base `Auto` picks for
+//! learned graphs a refresh costs the session's incremental solver
 //! revision (a rank-`r` delta update through
 //! [`SolverContext::apply_deltas`](sgl_solver::SolverContext)), not a
 //! refactorization.

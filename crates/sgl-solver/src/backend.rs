@@ -17,7 +17,7 @@ use crate::laplacian_solver::{LaplacianSolver, SolveScratch, SolverMethod, Solve
 use sgl_graph::laplacian::laplacian_csr;
 use sgl_graph::traversal::is_connected;
 use sgl_graph::Graph;
-use sgl_linalg::{par, vecops, CholeskyFactor, LinalgError, Preconditioner};
+use sgl_linalg::{par, vecops, CholeskyFactor, LinalgError};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -129,16 +129,12 @@ pub trait SolverHandle: Send + Sync {
     /// Cumulative solve statistics for this handle.
     fn stats(&self) -> SolveStats;
 
-    /// The handle's prepared PCG preconditioner, if it has one that is
-    /// meaningful *as a preconditioner on its own* (tree solve, IC(0)
-    /// factors, AMG V-cycle, Jacobi diagonal). Solver revisions use it
-    /// to keep preconditioning PCG against a slightly updated operator
-    /// — the stale-preconditioner amortization — so the setup keeps
-    /// earning across low-rank graph changes. Direct backends return
-    /// `None` (their amortization path is the Woodbury-corrected base
-    /// solve instead).
-    fn stale_preconditioner(&self) -> Option<Arc<dyn Preconditioner + Send + Sync>> {
-        None
+    /// Whether the handle solves exactly (dense Cholesky, the near-tree
+    /// solve) rather than by PCG. Only direct handles can serve as the
+    /// base of a Woodbury-corrected revision; a context rebuilds
+    /// iterative ones instead.
+    fn is_direct(&self) -> bool {
+        false
     }
 }
 
@@ -261,8 +257,8 @@ impl SolverHandle for IterativeHandle {
         self.stats.snapshot()
     }
 
-    fn stale_preconditioner(&self) -> Option<Arc<dyn Preconditioner + Send + Sync>> {
-        self.solver.preconditioner()
+    fn is_direct(&self) -> bool {
+        self.solver.method() == SolverMethod::TreeDirect
     }
 }
 
@@ -400,6 +396,10 @@ impl SolverHandle for DenseCholeskyHandle {
 
     fn stats(&self) -> SolveStats {
         self.stats.snapshot()
+    }
+
+    fn is_direct(&self) -> bool {
+        true
     }
 }
 

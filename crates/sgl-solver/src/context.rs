@@ -16,32 +16,32 @@
 //!
 //! Algorithm 1 adds only `⌈Nβ⌉` edges per iteration, so consecutive
 //! graph revisions differ by a *low-rank* Laplacian update
-//! `L' = L + B W Bᵀ`. Instead of refactoring from scratch, `apply_deltas`
-//! keeps the existing base handle and serves a wrapper that runs a short
-//! PCG against the *true* updated Laplacian — so results still meet the
-//! policy's `rtol` against the current graph, at the cost of
-//! `O(solve + rank·N)` instead of `O(setup + solve)`. What preconditions
-//! that PCG depends on the base:
+//! `L' = L + B W Bᵀ`. Over a **direct base** — the exact near-tree solve
+//! (`TreeDirect`: a spanning-tree elimination plus a Woodbury correction
+//! over at most 256 off-tree edges, which `Auto` picks for the learned
+//! graphs) or dense Cholesky — `apply_deltas` keeps the base handle and
+//! serves a wrapper that runs a short PCG against the *true* updated
+//! Laplacian, preconditioned by the base solve wrapped in a
+//! [`WoodburyUpdate`] over the accumulated delta edges. That is a
+//! near-exact inverse of the updated operator, so the outer PCG settles
+//! in 1–2 iterations and results still meet the policy's `rtol` against
+//! the current graph, at `O(solve + rank·N)` instead of
+//! `O(setup + solve)`.
 //!
-//! * **Direct bases** — the exact near-tree solve (`TreeDirect`: a
-//!   spanning-tree elimination plus a Woodbury correction over at most
-//!   256 off-tree edges, which `Auto` picks for the learned graphs) and
-//!   dense Cholesky — have no standalone preconditioner. The base solve
-//!   wrapped in a [`WoodburyUpdate`] over the accumulated delta edges is
-//!   a near-exact inverse of the updated operator, so the outer PCG
-//!   settles in 1–2 iterations.
-//! * **Iterative bases** (tree-, IC(0)-, AMG- and Jacobi-PCG) reuse
-//!   their prepared preconditioner on the updated operator as is.
+//! **Iterative bases** (tree-, IC(0)-, AMG- and Jacobi-PCG) are simply
+//! rebuilt, exactly as after [`invalidate`](SolverContext::invalidate):
+//! a fresh AMG or IC(0) preconditioner needs about half the PCG
+//! iterations of the old one run against the updated operator, a fresh
+//! spanning tree about as many, and the setup is cheap.
 //!
-//! A uniform rescale (Step 5) is even cheaper: `(c·L)⁺ = L⁺/c` needs no
-//! new factorization at all.
+//! A uniform rescale (Step 5) is free on every base: `(c·L)⁺ = L⁺/c`
+//! needs no new factorization at all.
 //!
-//! Two triggers force a full refactorization: the accumulated delta
-//! rank exceeding its cap of 64 edges, and the corrected solve's outer
-//! PCG iteration count blowing up past 4× its post-build baseline (the
-//! stale factorization has drifted too far). Numerical breakdown of the
-//! correction (singular capacitance, vanishing merged weight) refreshes
-//! as well, so the incremental path never serves an unreliable handle.
+//! A full refactorization is also forced when the accumulated delta rank
+//! would exceed its cap of 64 edges, and when the correction breaks down
+//! numerically (singular capacitance, vanishing merged weight, failed
+//! base solve), so the incremental path never serves an unreliable
+//! handle.
 //! [`revision_stats`](SolverContext::revision_stats) reports how many
 //! full builds, incremental updates, and forced refreshes a context
 //! performed — the observable cost of the policy.
@@ -61,7 +61,6 @@ use sgl_linalg::cg::{pcg_solve_with, CgOptions, CgWorkspace};
 use sgl_linalg::{par, vecops, CsrMatrix, LinalgError, Preconditioner, WoodburyUpdate};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Cap on the accumulated low-rank delta a context absorbs through
@@ -70,13 +69,6 @@ use std::sync::Arc;
 /// the last full build would exceed this, the next request rebuilds
 /// instead of stacking another Woodbury correction.
 const MAX_DELTA_RANK: usize = 64;
-
-/// Refresh trigger on iteration blow-up: when a delta-corrected solve's
-/// outer PCG takes more than this factor × the iterations of the first
-/// corrected solve after the last full build, the context schedules a
-/// refactorization (the stale base has drifted too far from the current
-/// operator).
-const REFRESH_ITER_FACTOR: f64 = 4.0;
 
 /// Lifetime counters of a [`SolverContext`]'s revision machinery: how
 /// often it paid for a full factorization versus an incremental
@@ -94,9 +86,6 @@ pub struct RevisionStats {
     /// Full refreshes forced by the accumulated rank exceeding its cap
     /// (64 delta edges).
     pub refreshes_on_rank: usize,
-    /// Full refreshes forced by corrected-solve PCG iterations exceeding
-    /// 4× the post-build baseline.
-    pub refreshes_on_iters: usize,
     /// Full refreshes forced by numerical breakdown of the correction
     /// (singular capacitance, vanishing merged weight, failed base
     /// solve).
@@ -113,7 +102,6 @@ impl RevisionStats {
         self.delta_updates += other.delta_updates;
         self.delta_rank_applied += other.delta_rank_applied;
         self.refreshes_on_rank += other.refreshes_on_rank;
-        self.refreshes_on_iters += other.refreshes_on_iters;
         self.refreshes_on_numeric += other.refreshes_on_numeric;
         self.precond_downgrades += other.precond_downgrades;
     }
@@ -134,11 +122,6 @@ struct DeltaState {
     /// Uniform factor applied to the base operator since the build
     /// (`apply_scale` products; 1 when never scaled).
     base_scale: f64,
-    /// Set by the revision handle when its outer PCG blows up.
-    needs_refresh: Arc<AtomicBool>,
-    /// Outer iterations of the first corrected solve after the build
-    /// (0 = not yet recorded).
-    baseline_iters: Arc<AtomicUsize>,
 }
 
 impl DeltaState {
@@ -149,8 +132,6 @@ impl DeltaState {
             z_rows: Vec::new(),
             index: HashMap::new(),
             base_scale: 1.0,
-            needs_refresh: Arc::new(AtomicBool::new(false)),
-            baseline_iters: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -229,12 +210,12 @@ impl std::fmt::Debug for SolverContext {
     }
 }
 
-/// Mirror a scheduled refactorization into the trace/metrics registry
-/// (labelled instant event + unified counter). No-op while the recorder
-/// is disabled.
-fn note_refresh(kind: &'static str) {
-    sgl_trace::count("solver.refreshes", 1);
-    sgl_trace::trace_event!("handle_refresh", label = kind);
+/// What forced a revision to fall back to a full refactorization.
+enum Refresh {
+    /// The accumulated delta rank would exceed [`MAX_DELTA_RANK`].
+    Rank,
+    /// The correction broke down numerically.
+    Numeric,
 }
 
 impl SolverContext {
@@ -289,12 +270,24 @@ impl SolverContext {
         self.stale = true;
     }
 
-    /// Whether the corrected handle has flagged itself for refresh
-    /// (outer PCG iteration blow-up).
-    fn iter_flagged(&self) -> bool {
-        self.delta
-            .as_ref()
-            .is_some_and(|d| d.needs_refresh.load(Ordering::Relaxed))
+    /// Schedule a full refactorization for `why`: count it in
+    /// [`RevisionStats`], mirror it into the trace/metrics registry
+    /// (labelled instant event plus the `solver.refreshes` counter, no-ops
+    /// while the recorder is disabled) and mark the cache stale.
+    fn refresh(&mut self, why: Refresh) {
+        let label = match why {
+            Refresh::Rank => {
+                self.stats.refreshes_on_rank += 1;
+                "rank"
+            }
+            Refresh::Numeric => {
+                self.stats.refreshes_on_numeric += 1;
+                "numeric"
+            }
+        };
+        sgl_trace::count("solver.refreshes", 1);
+        sgl_trace::trace_event!("handle_refresh", label = label);
+        self.stale = true;
     }
 
     /// Retire every cached handle's counters into the lifetime totals
@@ -318,8 +311,8 @@ impl SolverContext {
     /// first use, served from cache while the [`Graph::revision`] epoch
     /// matches (an `O(1)` check — a mutated graph can never be silently
     /// served a stale handle), and refactored after
-    /// [`invalidate`](SolverContext::invalidate) or a pending refresh
-    /// trigger. Revisions absorbed via
+    /// [`invalidate`](SolverContext::invalidate) or a scheduled refresh.
+    /// Revisions absorbed via
     /// [`apply_deltas`](SolverContext::apply_deltas) /
     /// [`apply_scale`](SolverContext::apply_scale) are served as
     /// corrected wrappers around the cached base factorization.
@@ -328,17 +321,11 @@ impl SolverContext {
     /// Propagates [`SolverBackend::build`] failures; the stale cache is
     /// dropped either way.
     pub fn handle_for(&mut self, graph: &Graph) -> Result<Arc<dyn SolverHandle>, LinalgError> {
-        let iter_flagged = self.iter_flagged();
         let rebuild = self.handle.is_none()
             || self.stale
-            || iter_flagged
             || self.revision == 0
             || graph.revision() != self.revision;
         if rebuild {
-            if iter_flagged {
-                self.stats.refreshes_on_iters += 1;
-                note_refresh("iters");
-            }
             self.retire_current();
             let handle = {
                 let _sp = sgl_trace::span!("handle_build", count = graph.num_nodes());
@@ -419,25 +406,20 @@ impl SolverContext {
     /// Absorb a low-rank edge delta into the cached factorization
     /// instead of refactoring: call **after** mutating the graph, with
     /// the post-mutation graph and the batch of weight changes just
-    /// applied (insertions at `+w`, reweights at `w' − w`). The next
+    /// applied (insertions at `+w`, reweights at `w' − w`). Over a direct
+    /// base ([`SolverHandle::is_direct`]) the next
     /// [`handle_for`](SolverContext::handle_for) then serves a corrected
     /// handle — the cached base plus a [`WoodburyUpdate`] over the
     /// accumulated delta edges — that still solves to the policy's
     /// `rtol` against the *updated* operator.
     ///
-    /// Falls back to scheduling a full refactorization (exactly the
-    /// [`invalidate`](SolverContext::invalidate) behavior) whenever
-    /// nothing usable is cached, the accumulated rank would exceed the
-    /// cap, a refresh was already pending, or the correction breaks down
-    /// numerically. Never
-    /// errors on those — the fallback is always available; only base
-    /// `solve_batch` failures with no fallback semantics propagate.
-    ///
-    /// # Errors
-    /// Currently never returns `Err`: every failure path falls back to
-    /// the full-refactorization schedule. The `Result` keeps room for
-    /// future strict modes.
-    pub fn apply_deltas(&mut self, graph: &Graph, deltas: &[EdgeDelta]) -> Result<(), LinalgError> {
+    /// Schedules a full refactorization instead (exactly the
+    /// [`invalidate`](SolverContext::invalidate) behavior) when the base
+    /// is iterative or nothing usable is cached, and counts a refresh
+    /// when the accumulated rank would exceed the cap or the correction
+    /// breaks down numerically. The rebuild is always available, so this
+    /// never fails.
+    pub fn apply_deltas(&mut self, graph: &Graph, deltas: &[EdgeDelta]) {
         let _sp = sgl_trace::span!("delta_update", count = deltas.len());
         if deltas.is_empty() {
             if self.revision != 0 && graph.revision() != self.revision {
@@ -445,100 +427,83 @@ impl SolverContext {
                 // nothing to absorb, refactor.
                 self.stale = true;
             }
-            return Ok(());
+            return;
         }
-        if self.handle.is_none() || self.stale || self.revision == 0 {
-            self.stale = true;
-            return Ok(());
-        }
-        if self.iter_flagged() {
-            self.stats.refreshes_on_iters += 1;
-            note_refresh("iters");
-            // Drop the flagged state so the refresh is counted once
-            // (handle_for would otherwise see the flag again).
-            self.delta = None;
-            self.stale = true;
-            return Ok(());
-        }
-        let base = Arc::clone(self.base.as_ref().expect("cached handle implies base"));
-        let n = base.num_nodes();
-        for d in deltas {
-            if d.u >= n || d.v >= n || d.u == d.v || !d.dweight.is_finite() {
-                self.stale = true;
-                self.stats.refreshes_on_numeric += 1;
-                note_refresh("numeric");
-                return Ok(());
+        // Only a cached direct base takes a Woodbury revision; anything
+        // else rebuilds, as after `invalidate`.
+        let base = match &self.base {
+            Some(base)
+                if base.is_direct()
+                    && self.handle.is_some()
+                    && !self.stale
+                    && self.revision != 0 =>
+            {
+                Arc::clone(base)
             }
+            _ => {
+                self.stale = true;
+                return;
+            }
+        };
+        let n = base.num_nodes();
+        if deltas
+            .iter()
+            .any(|d| d.u >= n || d.v >= n || d.u == d.v || !d.dweight.is_finite())
+        {
+            self.refresh(Refresh::Numeric);
+            return;
         }
 
         // Merge the batch into the accumulated delta set.
         let mut state = self.delta.take().unwrap_or_else(DeltaState::fresh);
+        let mut merged: HashMap<(usize, usize), f64> = HashMap::new();
+        for d in deltas {
+            let key = (d.u.min(d.v), d.u.max(d.v));
+            *merged.entry(key).or_insert(0.0) += d.dweight;
+        }
+        // Deterministic order: sort the new keys.
+        let mut keys: Vec<_> = merged.keys().copied().collect();
+        keys.sort_unstable();
         let mut new_edges: Vec<(usize, usize)> = Vec::new();
-        let new_rank_added;
-        {
-            let mut merged: HashMap<(usize, usize), f64> = HashMap::new();
-            for d in deltas {
-                let key = (d.u.min(d.v), d.u.max(d.v));
-                *merged.entry(key).or_insert(0.0) += d.dweight;
+        for key in keys {
+            let dw = merged[&key];
+            match state.index.get(&key) {
+                Some(&i) => state.weights[i] += dw,
+                None => new_edges.push(key),
             }
-            // Deterministic order: sort the new keys.
-            let mut keys: Vec<_> = merged.keys().copied().collect();
-            keys.sort_unstable();
-            for key in keys {
-                let dw = merged[&key];
-                match state.index.get(&key) {
-                    Some(&i) => state.weights[i] += dw,
-                    None => new_edges.push(key),
-                }
-            }
-            new_rank_added = new_edges.len();
-            let rank_after = state.rank() + new_edges.len();
-            if rank_after > MAX_DELTA_RANK {
-                self.stats.refreshes_on_rank += 1;
-                note_refresh("rank");
-                self.stale = true;
-                return Ok(());
-            }
-            // In Woodbury mode (direct base, no standalone
-            // preconditioner) every new incidence column needs its base
-            // solution, fetched in one batched call through the *base*
-            // factorization. In stale-preconditioner mode the setup is
-            // reused as-is and no extra solves are paid at all.
-            if !new_edges.is_empty() {
-                let zs = if base.stale_preconditioner().is_some() {
-                    vec![Vec::new(); new_edges.len()]
-                } else {
-                    let rhs: Vec<Vec<f64>> = new_edges
-                        .iter()
-                        .map(|&(u, v)| {
-                            let mut b = vec![0.0; n];
-                            b[u] = 1.0;
-                            b[v] = -1.0;
-                            b
-                        })
-                        .collect();
-                    match base.solve_batch(&rhs) {
-                        Ok(zs) => zs,
-                        Err(_) => {
-                            self.stats.refreshes_on_numeric += 1;
-                            note_refresh("numeric");
-                            self.stale = true;
-                            return Ok(());
-                        }
+        }
+        let new_rank_added = new_edges.len();
+        if state.rank() + new_rank_added > MAX_DELTA_RANK {
+            self.refresh(Refresh::Rank);
+            return;
+        }
+        // Every new incidence column needs its base solution, fetched in
+        // one batched call through the base factorization.
+        if !new_edges.is_empty() {
+            let rhs: Vec<Vec<f64>> = new_edges
+                .iter()
+                .map(|&(u, v)| {
+                    let mut b = vec![0.0; n];
+                    b[u] = 1.0;
+                    b[v] = -1.0;
+                    b
+                })
+                .collect();
+            let Ok(zs) = base.solve_batch(&rhs) else {
+                self.refresh(Refresh::Numeric);
+                return;
+            };
+            let inv = 1.0 / state.base_scale;
+            for (&(u, v), mut z) in new_edges.iter().zip(zs) {
+                if state.base_scale != 1.0 {
+                    for x in &mut z {
+                        *x *= inv;
                     }
-                };
-                for (&(u, v), mut z) in new_edges.iter().zip(zs) {
-                    if state.base_scale != 1.0 {
-                        let inv = 1.0 / state.base_scale;
-                        for x in &mut z {
-                            *x *= inv;
-                        }
-                    }
-                    state.index.insert((u, v), state.edges.len());
-                    state.edges.push((u, v));
-                    state.weights.push(merged[&(u, v)]);
-                    state.z_rows.push(z.into());
                 }
+                state.index.insert((u, v), state.edges.len());
+                state.edges.push((u, v));
+                state.weights.push(merged[&(u, v)]);
+                state.z_rows.push(z.into());
             }
         }
         // Drop deltas whose merged weight vanished (a perfect undo):
@@ -546,8 +511,6 @@ impl SolverContext {
         if state.weights.iter().any(|w| w.abs() < 1e-300) {
             let mut kept = DeltaState::fresh();
             kept.base_scale = state.base_scale;
-            kept.needs_refresh = Arc::clone(&state.needs_refresh);
-            kept.baseline_iters = Arc::clone(&state.baseline_iters);
             for i in 0..state.edges.len() {
                 if state.weights[i].abs() >= 1e-300 {
                     kept.index.insert(state.edges[i], kept.edges.len());
@@ -576,28 +539,20 @@ impl SolverContext {
             None => Arc::new(laplacian_csr(graph)),
         };
 
-        let correction = match self.correction_for(&base, &state) {
-            Some(c) => c,
-            None => {
-                self.stats.refreshes_on_numeric += 1;
-                note_refresh("numeric");
-                self.stale = true;
-                return Ok(());
-            }
+        let Some(correction) = self.correction_for(&base, &state) else {
+            self.refresh(Refresh::Numeric);
+            return;
         };
         self.stats.delta_rank_applied += new_rank_added;
         sgl_trace::count("solver.delta_updates", 1);
         sgl_trace::count("solver.delta_rank_applied", new_rank_added as u64);
         self.finish_wrap(graph, state, lap, correction);
-        Ok(())
     }
 
-    /// Pick the correction mode for the accumulated delta state:
-    /// nothing at rank 0 (pure rescale / perfect cancellation), the
-    /// base's own stale preconditioner for iterative bases (their setup
-    /// keeps working on the updated operator, zero extra cost), or a
-    /// Woodbury-corrected base solve for direct bases. `None` = the
-    /// correction broke down numerically; refactor.
+    /// Pick the correction for the accumulated delta state: nothing at
+    /// rank 0 (pure rescale / perfect cancellation), otherwise a
+    /// Woodbury-corrected base solve. `None` = the correction broke down
+    /// numerically; refactor.
     fn correction_for(
         &self,
         base: &Arc<dyn SolverHandle>,
@@ -605,9 +560,6 @@ impl SolverContext {
     ) -> Option<Correction> {
         if state.rank() == 0 {
             return Some(Correction::Exact);
-        }
-        if let Some(precond) = base.stale_preconditioner() {
-            return Some(Correction::StalePrecond(precond));
         }
         // Injected capacitance singularity: pretend the update broke
         // down so the refreshes_on_numeric recovery path runs.
@@ -618,24 +570,23 @@ impl SolverContext {
         {
             return None;
         }
-        match WoodburyUpdate::new(
+        WoodburyUpdate::new(
             base.num_nodes(),
             state.edges.clone(),
             state.weights.clone(),
             state.z_rows.clone(),
-        ) {
-            Ok(u) => Some(Correction::Woodbury(u)),
-            Err(_) => None,
-        }
+        )
+        .ok()
+        .map(Correction::Woodbury)
     }
 
     /// Absorb a uniform weight rescale (`w_e ← factor · w_e` for every
     /// edge, Step 5 of Algorithm 1) into the cached factorization:
     /// `(c·L)⁺ = L⁺ / c`, so the corrected handle needs no new solves at
-    /// all. Call **after** `Graph::scale_weights`, with the post-scale
-    /// graph. Falls back to scheduling a refactorization exactly like
-    /// [`apply_deltas`](SolverContext::apply_deltas) when nothing usable
-    /// is cached or the incremental path is off.
+    /// all, over any base. Call **after** `Graph::scale_weights`, with
+    /// the post-scale graph. Schedules a refactorization instead when
+    /// nothing usable is cached, and counts a refresh when the
+    /// accumulated Woodbury correction breaks down numerically.
     ///
     /// # Panics
     /// Panics if `factor` is not positive and finite (the same contract
@@ -647,15 +598,6 @@ impl SolverContext {
             "scale factor must be positive and finite"
         );
         if self.handle.is_none() || self.stale || self.revision == 0 {
-            self.stale = true;
-            return;
-        }
-        if self.iter_flagged() {
-            self.stats.refreshes_on_iters += 1;
-            note_refresh("iters");
-            // Count the refresh once; handle_for must not see the flag
-            // again.
-            self.delta = None;
             self.stale = true;
             return;
         }
@@ -682,13 +624,9 @@ impl SolverContext {
             None => Arc::new(laplacian_csr(graph)),
         };
         let base = Arc::clone(self.base.as_ref().expect("cached handle implies base"));
-        let correction = match self.correction_for(&base, &state) {
-            Some(c) => c,
-            None => {
-                self.stats.refreshes_on_numeric += 1;
-                self.stale = true;
-                return;
-            }
+        let Some(correction) = self.correction_for(&base, &state) else {
+            self.refresh(Refresh::Numeric);
+            return;
         };
         self.finish_wrap(graph, state, lap, correction);
     }
@@ -731,8 +669,6 @@ impl SolverContext {
                 rtol: self.policy.rtol,
                 max_iter: self.policy.max_iter,
                 parallelism: self.policy.parallelism,
-                baseline_iters: Arc::clone(&state.baseline_iters),
-                needs_refresh: Arc::clone(&state.needs_refresh),
                 stats: StatCell::default(),
             })
         };
@@ -860,8 +796,8 @@ impl SolverHandle for FaultInjectedHandle {
         self.inner.stats()
     }
 
-    fn stale_preconditioner(&self) -> Option<Arc<dyn Preconditioner + Send + Sync>> {
-        self.inner.stale_preconditioner()
+    fn is_direct(&self) -> bool {
+        self.inner.is_direct()
     }
 }
 
@@ -873,13 +809,8 @@ impl SolverHandle for FaultInjectedHandle {
 /// factorization and the current operator.
 enum Correction {
     /// No gap beyond a uniform rescale: `(c·L)⁺ b = L⁺ b / c`, exact,
-    /// no outer iteration at all.
+    /// no outer iteration at all. Any base.
     Exact,
-    /// Iterative base: its prepared preconditioner (tree / IC(0) / AMG
-    /// V-cycle / Jacobi) still preconditions the *updated* operator
-    /// well — run PCG against the new Laplacian with the stale setup.
-    /// Zero preparation cost per revision.
-    StalePrecond(Arc<dyn Preconditioner + Send + Sync>),
     /// Direct base (exact near-tree solve, dense Cholesky): the
     /// Woodbury-corrected base solve is a near-exact inverse of the
     /// updated operator, so the outer PCG settles in a couple of
@@ -902,8 +833,6 @@ struct RevisionedHandle {
     rtol: f64,
     max_iter: usize,
     parallelism: usize,
-    baseline_iters: Arc<AtomicUsize>,
-    needs_refresh: Arc<AtomicBool>,
     stats: StatCell,
     num_nodes: usize,
 }
@@ -943,27 +872,6 @@ impl RevisionedHandle {
         }
     }
 
-    /// Refresh policy: the first corrected solve after a build sets the
-    /// baseline; later solves exceeding `REFRESH_ITER_FACTOR ×` baseline
-    /// flag the context for a refactorization.
-    ///
-    /// Called only from the serial accounting paths (`solve`, and
-    /// `solve_batch` *after* the join, in RHS order) — never from inside
-    /// the parallel region — so the baseline and the refresh decision
-    /// are identical at every thread count.
-    fn watch_iterations(&self, iterations: usize) {
-        if matches!(self.correction, Correction::Exact) {
-            return;
-        }
-        let iters = iterations.max(1);
-        let baseline = self.baseline_iters.load(Ordering::Relaxed);
-        if baseline == 0 {
-            self.baseline_iters.store(iters, Ordering::Relaxed);
-        } else if iters as f64 > REFRESH_ITER_FACTOR * baseline as f64 {
-            self.needs_refresh.store(true, Ordering::Relaxed);
-        }
-    }
-
     fn solve_into(
         &self,
         b: &[f64],
@@ -992,14 +900,6 @@ impl RevisionedHandle {
                     *xi = yi * self.inv_scale;
                 }
                 Ok((0, self.base.stats().last_relative_residual))
-            }
-            Correction::StalePrecond(precond) => {
-                // The base's own setup preconditions the updated
-                // operator (PCG is invariant to preconditioner scaling,
-                // so the rescale needs no adjustment here).
-                let st = pcg_solve_with(self.op.as_ref(), &precond.as_ref(), b, &opts, ws, x)?;
-                vecops::project_out_mean(x);
-                Ok((st.iterations, st.relative_residual))
             }
             Correction::Woodbury(update) => {
                 let error: RefCell<Option<LinalgError>> = RefCell::new(None);
@@ -1042,7 +942,6 @@ impl SolverHandle for RevisionedHandle {
     fn method_name(&self) -> &'static str {
         match &self.correction {
             Correction::Exact => "revision-scaled",
-            Correction::StalePrecond(_) => "revision-stale-precond",
             Correction::Woodbury(_) => "revision-woodbury",
         }
     }
@@ -1050,7 +949,6 @@ impl SolverHandle for RevisionedHandle {
     fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let mut x = vec![0.0; self.num_nodes];
         let (iters, residual) = self.solve_into(b, &mut x, &mut CgWorkspace::new())?;
-        self.watch_iterations(iters);
         if self.records_own_stats() {
             self.stats.record(1, iters, residual);
         }
@@ -1078,11 +976,10 @@ impl SolverHandle for RevisionedHandle {
                         .collect()
                 })
             })?;
-        // Post-join, in RHS order: both the stat counters and the
-        // refresh decision are independent of thread scheduling.
+        // Post-join, in RHS order: the stat counters are independent of
+        // thread scheduling.
         let mut out = Vec::with_capacity(solved.len());
         for (x, (iters, residual)) in solved {
-            self.watch_iterations(iters);
             if self.records_own_stats() {
                 self.stats.record(1, iters, residual);
             }
@@ -1102,6 +999,11 @@ mod tests {
     use crate::backend::PolicyMethod;
     use sgl_datasets::grid2d;
     use sgl_linalg::Rng;
+
+    /// The dense Cholesky reference: a direct base on any small graph.
+    fn dense() -> SolverPolicy {
+        SolverPolicy::default().with_method(PolicyMethod::DenseCholesky)
+    }
 
     fn mean_zero_rhs(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = Rng::seed_from_u64(seed);
@@ -1223,7 +1125,7 @@ mod tests {
     #[test]
     fn apply_deltas_solves_like_a_fresh_factorization() {
         let mut g = grid2d(6, 6);
-        let mut ctx = SolverContext::new(SolverPolicy::default());
+        let mut ctx = SolverContext::new(dense());
         ctx.handle_for(&g).unwrap();
         // Insert three chords and bump an existing edge.
         let mut deltas = Vec::new();
@@ -1234,13 +1136,11 @@ mod tests {
         let e0 = g.edge(0);
         g.set_weight(0, e0.weight * 2.0);
         deltas.push(EdgeDelta::reweight(e0.u, e0.v, e0.weight, e0.weight * 2.0));
-        ctx.apply_deltas(&g, &deltas).unwrap();
+        ctx.apply_deltas(&g, &deltas);
         assert_eq!(ctx.handles_built(), 1, "delta batch must not refactor");
         assert_eq!(ctx.delta_rank(), 4);
         let h = ctx.handle_for(&g).unwrap();
-        // Auto on a mesh resolves to AMG-PCG: the revision reuses its
-        // stale V-cycle as the preconditioner, no extra solves at all.
-        assert_eq!(h.method_name(), "revision-stale-precond");
+        assert_eq!(h.method_name(), "revision-woodbury");
         assert_eq!(ctx.handles_built(), 1);
         assert_matches_fresh(&mut ctx, &g, 1, 1e-8);
         let st = ctx.revision_stats();
@@ -1251,7 +1151,7 @@ mod tests {
     #[test]
     fn stacked_delta_batches_keep_matching() {
         let mut g = grid2d(6, 6);
-        let mut ctx = SolverContext::new(SolverPolicy::default());
+        let mut ctx = SolverContext::new(dense());
         ctx.handle_for(&g).unwrap();
         let mut rng = Rng::seed_from_u64(42);
         for round in 0..4 {
@@ -1266,7 +1166,7 @@ mod tests {
                 g.add_edge(u, v, w);
                 deltas.push(EdgeDelta::insert(u, v, w));
             }
-            ctx.apply_deltas(&g, &deltas).unwrap();
+            ctx.apply_deltas(&g, &deltas);
             assert_matches_fresh(&mut ctx, &g, 100 + round, 1e-8);
         }
         assert_eq!(ctx.handles_built(), 1, "all four batches absorbed");
@@ -1278,7 +1178,7 @@ mod tests {
         // Diagonal chords (i, i + 11) of a 10x10 grid: never grid edges,
         // all distinct.
         let mut g = grid2d(10, 10);
-        let mut ctx = SolverContext::new(SolverPolicy::default());
+        let mut ctx = SolverContext::new(dense());
         ctx.handle_for(&g).unwrap();
         let deltas: Vec<EdgeDelta> = (0..MAX_DELTA_RANK)
             .map(|i| {
@@ -1286,15 +1186,14 @@ mod tests {
                 EdgeDelta::insert(i, i + 11, 1.0)
             })
             .collect();
-        ctx.apply_deltas(&g, &deltas).unwrap();
+        ctx.apply_deltas(&g, &deltas);
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 1);
         assert_eq!(ctx.delta_rank(), MAX_DELTA_RANK);
         // One more distinct edge exceeds the cap: full refactor.
         let i = MAX_DELTA_RANK;
         g.add_edge(i, i + 11, 1.0);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(i, i + 11, 1.0)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(i, i + 11, 1.0)]);
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 2);
         assert_eq!(ctx.revision_stats().refreshes_on_rank, 1);
@@ -1304,6 +1203,7 @@ mod tests {
 
     #[test]
     fn apply_scale_is_exact_and_free() {
+        // Auto on a mesh builds AMG-PCG: rescales stay free even there.
         let mut g = grid2d(5, 5);
         let mut ctx = SolverContext::new(SolverPolicy::default());
         let before = ctx.handle_for(&g).unwrap();
@@ -1324,19 +1224,17 @@ mod tests {
     #[test]
     fn deltas_then_scale_compose() {
         let mut g = grid2d(6, 6);
-        let mut ctx = SolverContext::new(SolverPolicy::default());
+        let mut ctx = SolverContext::new(dense());
         ctx.handle_for(&g).unwrap();
         g.add_edge(0, 14, 0.7);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 14, 0.7)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 14, 0.7)]);
         g.scale_weights(2.5);
         ctx.apply_scale(&g, 2.5);
         assert_eq!(ctx.handles_built(), 1);
         assert_matches_fresh(&mut ctx, &g, 5, 1e-8);
         // And a delta on top of the scale still composes.
         g.add_edge(2, 20, 1.1);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(2, 20, 1.1)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(2, 20, 1.1)]);
         assert_eq!(ctx.handles_built(), 1);
         assert_matches_fresh(&mut ctx, &g, 6, 1e-8);
     }
@@ -1347,8 +1245,7 @@ mod tests {
         let mut ctx = SolverContext::new(SolverPolicy::default());
         // No handle yet: apply_deltas is a no-op schedule.
         g.add_edge(0, 7, 1.0);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 7, 1.0)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 7, 1.0)]);
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 1);
         assert_eq!(ctx.revision_stats().delta_updates, 0);
@@ -1362,31 +1259,42 @@ mod tests {
         g.add_edge(0, 7, 1.0);
         // Caller reports "no delta" for a moved graph: the context must
         // not pretend the cached handle still matches.
-        ctx.apply_deltas(&g, &[]).unwrap();
+        ctx.apply_deltas(&g, &[]);
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 2);
     }
 
     #[test]
     fn delta_equivalence_across_every_backend_method() {
+        // Direct bases absorb the batch as a Woodbury revision; iterative
+        // ones rebuild under their own method. Both match a fresh
+        // factorization.
         for method in [
             PolicyMethod::TreePcg,
             PolicyMethod::AmgPcg,
             PolicyMethod::JacobiPcg,
             PolicyMethod::IcholPcg,
+            PolicyMethod::TreeDirect,
             PolicyMethod::DenseCholesky,
         ] {
             let mut g = grid2d(6, 6);
             let mut ctx = SolverContext::new(SolverPolicy::default().with_method(method));
-            ctx.handle_for(&g).unwrap();
+            let direct = ctx.handle_for(&g).unwrap().is_direct();
             g.add_edge(0, 13, 0.9);
             g.add_edge(7, 29, 1.4);
             ctx.apply_deltas(
                 &g,
                 &[EdgeDelta::insert(0, 13, 0.9), EdgeDelta::insert(7, 29, 1.4)],
-            )
-            .unwrap();
-            assert_eq!(ctx.handles_built(), 1, "{method:?}");
+            );
+            let h = ctx.handle_for(&g).unwrap();
+            let st = ctx.revision_stats();
+            if direct {
+                assert_eq!(h.method_name(), "revision-woodbury", "{method:?}");
+                assert_eq!((st.handles_built, st.delta_updates), (1, 1), "{method:?}");
+            } else {
+                assert_eq!(h.method_name(), method.name(), "{method:?}");
+                assert_eq!((st.handles_built, st.delta_updates), (2, 0), "{method:?}");
+            }
             assert_matches_fresh(&mut ctx, &g, 11, 1e-7);
         }
     }
@@ -1436,8 +1344,7 @@ mod tests {
         ctx.set_fault_plan(Arc::clone(&plan));
         ctx.handle_for(&g).unwrap();
         g.add_edge(0, 10, 0.5);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 10, 0.5)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 10, 0.5)]);
         assert_eq!(plan.injected_count(), 1);
         assert_eq!(ctx.revision_stats().refreshes_on_numeric, 1);
         // Recovery: the next handle is a clean refactorization.
@@ -1455,12 +1362,10 @@ mod tests {
         let mut ctx = SolverContext::new(SolverPolicy::default());
         ctx.handle_for(&g).unwrap();
         g.add_edge(0, 15, 0.5);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 15, 0.5)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 15, 0.5)]);
         let first = ctx.handle_for(&g).unwrap();
         g.add_edge(7, 22, 1.0);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(7, 22, 1.0)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(7, 22, 1.0)]);
         let second = ctx.handle_for(&g).unwrap();
         assert_eq!(second.method_name(), "revision-woodbury");
         let row = &ctx.delta.as_ref().unwrap().z_rows[0];
@@ -1501,7 +1406,7 @@ mod tests {
         let batch = 8;
         for round in 0.. {
             let deltas: Vec<EdgeDelta> = (0..batch).map(|_| chord(&mut g, &mut rng)).collect();
-            ctx.apply_deltas(&g, &deltas).unwrap();
+            ctx.apply_deltas(&g, &deltas);
             let h = ctx.handle_for(&g).unwrap();
             if ctx.handles_built() > 1 {
                 assert_eq!(round * batch, MAX_DELTA_RANK, "refreshed before the cap");
@@ -1534,8 +1439,7 @@ mod tests {
         ctx.apply_deltas(
             &g,
             &[EdgeDelta::insert(0, 15, 0.5), EdgeDelta::insert(7, 22, 1.0)],
-        )
-        .unwrap();
+        );
         let h = ctx.handle_for(&g).unwrap();
         let b = mean_zero_rhs(n, 9);
         h.solve(&b).unwrap();

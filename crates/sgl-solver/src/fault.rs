@@ -37,9 +37,9 @@ pub enum FaultKind {
     /// Recovery: the session invalidates its solver state and retries
     /// on a fresh factorization.
     PcgStagnation,
-    /// Singular Woodbury capacitance during a low-rank delta update.
-    /// Recovery: the context falls back to a stale-preconditioner
-    /// correction and schedules a refresh (`refreshes_on_numeric`).
+    /// Singular Woodbury capacitance during a low-rank delta update or a
+    /// rescale over one. Recovery: the context schedules a full
+    /// refactorization (counted in `refreshes_on_numeric`).
     WoodburySingular,
     /// A corrupted (NaN-poisoned) query request reaching `sgl-serve`.
     /// Recovery: request validation rejects it as a `BadQuery` without

@@ -9,7 +9,6 @@ use sgl_graph::traversal::is_connected;
 use sgl_graph::Graph;
 use sgl_linalg::cg::{pcg_solve_with, CgOptions, CgWorkspace};
 use sgl_linalg::{vecops, JacobiPreconditioner, LinalgError, Preconditioner};
-use std::sync::Arc;
 
 /// Most off-tree edges the exact near-tree solve takes on, from
 /// `bench_solver`'s near-tree sweep (grid spanning tree plus `k` off-tree
@@ -93,10 +92,7 @@ impl SolveScratch {
 enum Backend {
     TreeDirect(NearTreeSolver),
     Pcg {
-        /// Shared so revision wrappers can keep preconditioning PCG on
-        /// an *updated* operator without refactoring (see
-        /// [`LaplacianSolver::preconditioner`]).
-        precond: Arc<dyn Preconditioner + Send + Sync>,
+        precond: Box<dyn Preconditioner + Send + Sync>,
     },
 }
 
@@ -151,7 +147,7 @@ impl LaplacianSolver {
             m => m,
         };
         let tree_pcg = || Backend::Pcg {
-            precond: Arc::new(TreePreconditioner::from_graph(graph)),
+            precond: Box::new(TreePreconditioner::from_graph(graph)),
         };
         let backend = match method {
             SolverMethod::TreeDirect => {
@@ -173,15 +169,15 @@ impl LaplacianSolver {
             }
             SolverMethod::TreePcg => tree_pcg(),
             SolverMethod::AmgPcg => Backend::Pcg {
-                precond: Arc::new(AmgHierarchy::build(graph, &opts.amg)),
+                precond: Box::new(AmgHierarchy::build(graph, &opts.amg)),
             },
             SolverMethod::JacobiPcg => Backend::Pcg {
-                precond: Arc::new(JacobiPreconditioner::from_diagonal(
+                precond: Box::new(JacobiPreconditioner::from_diagonal(
                     &graph.weighted_degrees(),
                 )),
             },
             SolverMethod::IcholPcg => Backend::Pcg {
-                precond: Arc::new(crate::ichol::IncompleteCholesky::new(
+                precond: Box::new(crate::ichol::IncompleteCholesky::new(
                     &sgl_graph::laplacian::laplacian_csr(graph),
                     1e-8,
                 )?),
@@ -200,21 +196,6 @@ impl LaplacianSolver {
     /// The backend actually in use (after `Auto` resolution).
     pub fn method(&self) -> SolverMethod {
         self.method
-    }
-
-    /// The PCG preconditioner prepared for this graph, if the resolved
-    /// method is a PCG variant (`None` for the exact near-tree solve).
-    /// Shared out so a solver revision can keep preconditioning PCG on a
-    /// slightly *updated* operator — the stale-preconditioner
-    /// amortization: the setup (tree build, IC(0) factorization, AMG
-    /// hierarchy) keeps earning across low-rank graph changes. PCG is
-    /// invariant to preconditioner scaling, so a uniformly rescaled
-    /// graph needs no adjustment at all.
-    pub fn preconditioner(&self) -> Option<Arc<dyn Preconditioner + Send + Sync>> {
-        match &self.backend {
-            Backend::Pcg { precond } => Some(Arc::clone(precond)),
-            Backend::TreeDirect(_) => None,
-        }
     }
 
     /// Number of nodes.
@@ -316,6 +297,7 @@ impl LaplacianSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{IterativeBackend, SolverBackend};
     use sgl_datasets::grid2d;
     use sgl_graph::laplacian::laplacian_csr;
     use sgl_linalg::Rng;
@@ -417,14 +399,12 @@ mod tests {
 
     #[test]
     fn auto_resolution_at_the_off_tree_cap() {
+        let is_direct = |g: &Graph| IterativeBackend::default().build(g).unwrap().is_direct();
         let n = 700;
         let at_cap = near_tree(n, MAX_OFF_TREE_EDGES, 1);
         let s = LaplacianSolver::new(&at_cap, SolverOptions::default()).unwrap();
         assert_eq!(s.method(), SolverMethod::TreeDirect);
-        assert!(
-            s.preconditioner().is_none(),
-            "direct bases have no stale preconditioner"
-        );
+        assert!(is_direct(&at_cap), "the near-tree solve is a direct base");
         let (_, st) = s.solve_with_stats(&vec![1.0; n]).unwrap();
         assert_eq!(st.iterations, 0);
         verify(&at_cap, &s, 4);
@@ -433,6 +413,7 @@ mod tests {
         assert!(past_cap.density() <= 1.4);
         let s = LaplacianSolver::new(&past_cap, SolverOptions::default()).unwrap();
         assert_eq!(s.method(), SolverMethod::TreePcg);
+        assert!(!is_direct(&past_cap));
         verify(&past_cap, &s, 5);
 
         // Few off-tree edges but denser than 1.4 edges per node: AMG.
@@ -440,6 +421,7 @@ mod tests {
         assert!(small_dense.density() > 1.4);
         let s = LaplacianSolver::new(&small_dense, SolverOptions::default()).unwrap();
         assert_eq!(s.method(), SolverMethod::AmgPcg);
+        assert!(!is_direct(&small_dense));
     }
 
     #[test]

@@ -102,9 +102,9 @@ fn pairwise_resistances_identical_at_any_thread_count() {
 /// Randomized delta-vs-fresh equivalence harness: starting from a grid,
 /// apply `rounds` random edge-insertion/reweight batches through
 /// `SolverContext::apply_deltas`, and after each batch check that the
-/// (possibly Woodbury-corrected) context solve matches a from-scratch
-/// factorization of the current graph to `rtol`-grade accuracy — at the
-/// requested thread count.
+/// context solve (Woodbury-corrected over a direct base, rebuilt over an
+/// iterative one) matches a from-scratch factorization of the current
+/// graph to `rtol`-grade accuracy — at the requested thread count.
 fn check_delta_vs_fresh(method: PolicyMethod, threads: usize, seed: u64, rounds: usize) {
     use sgl_graph::EdgeDelta;
     use sgl_solver::SolverContext;
@@ -115,7 +115,7 @@ fn check_delta_vs_fresh(method: PolicyMethod, threads: usize, seed: u64, rounds:
         .with_method(method)
         .with_parallelism(threads);
     let mut ctx = SolverContext::new(policy.clone());
-    ctx.handle_for(&g).unwrap();
+    let direct = ctx.handle_for(&g).unwrap().is_direct();
     let mut rng = Rng::seed_from_u64(seed);
     for round in 0..rounds {
         // A small random batch: mostly fresh chords, sometimes a
@@ -138,7 +138,7 @@ fn check_delta_vs_fresh(method: PolicyMethod, threads: usize, seed: u64, rounds:
                 deltas.push(EdgeDelta::insert(u, v, w));
             }
         }
-        ctx.apply_deltas(&g, &deltas).unwrap();
+        ctx.apply_deltas(&g, &deltas);
         let mut b = rng.normal_vec(n);
         vecops::project_out_mean(&mut b);
         let x = ctx.handle_for(&g).unwrap().solve(&b).unwrap();
@@ -152,23 +152,27 @@ fn check_delta_vs_fresh(method: PolicyMethod, threads: usize, seed: u64, rounds:
              delta-revised solve drifted {rel:.3e} from fresh factorization"
         );
     }
-    // The context must have actually exercised the incremental path at
-    // least once over the run (the default policy's rank cap is far
-    // above these batch sizes).
-    assert!(
+    // A direct base must have actually exercised the incremental path
+    // at least once over the run (the rank cap is far above these batch
+    // sizes); an iterative base never does.
+    assert_eq!(
         ctx.revision_stats().delta_updates > 0,
-        "{method:?}: no delta batch was absorbed incrementally"
+        direct,
+        "{method:?}: incremental path taken iff the base is direct"
     );
 }
 
 #[test]
 fn delta_revised_solves_match_fresh_factorizations() {
-    // All three PCG preconditioners of the facade (tree, IC(0), AMG),
-    // at 1 thread and at N, over several random delta sequences.
+    // Three PCG preconditioners of the facade (tree, IC(0), AMG), which
+    // rebuild, and the dense Cholesky base, which takes Woodbury
+    // revisions, at 1 thread and at N, over several random delta
+    // sequences.
     for method in [
         PolicyMethod::TreePcg,
         PolicyMethod::IcholPcg,
         PolicyMethod::AmgPcg,
+        PolicyMethod::DenseCholesky,
     ] {
         for threads in [1usize, 3, 4] {
             for seed in [0xD17A, 7, 421] {
@@ -187,16 +191,17 @@ fn delta_revised_batch_solves_identical_at_any_thread_count() {
     // contract as the backend handles: batch solves are bit-identical
     // across thread counts.
     let mut g = sgl_datasets::grid2d(8, 8);
-    let mut ctx = SolverContext::new(SolverPolicy::default());
+    let mut ctx =
+        SolverContext::new(SolverPolicy::default().with_method(PolicyMethod::DenseCholesky));
     ctx.handle_for(&g).unwrap();
     let mut deltas = Vec::new();
     for &(u, v, w) in &[(0usize, 20usize, 0.9), (5, 40, 1.3), (17, 60, 0.4)] {
         g.add_edge(u, v, w);
         deltas.push(EdgeDelta::insert(u, v, w));
     }
-    ctx.apply_deltas(&g, &deltas).unwrap();
+    ctx.apply_deltas(&g, &deltas);
     let handle = ctx.handle_for(&g).unwrap();
-    assert_eq!(handle.method_name(), "revision-stale-precond");
+    assert_eq!(handle.method_name(), "revision-woodbury");
     let mut rng = Rng::seed_from_u64(31);
     let rhs: Vec<Vec<f64>> = (0..5)
         .map(|_| {
@@ -247,7 +252,7 @@ fn near_tree_solves_identical_at_any_thread_count() {
     let base = ctx.handle_for(&g).unwrap();
     assert_eq!(base.method_name(), "tree-direct");
     let deltas: Vec<EdgeDelta> = (0..8).map(|_| chord(&mut g, &mut rng)).collect();
-    ctx.apply_deltas(&g, &deltas).unwrap();
+    ctx.apply_deltas(&g, &deltas);
     let revised = ctx.handle_for(&g).unwrap();
     assert_eq!(revised.method_name(), "revision-woodbury");
     for handle in [&base, &revised] {
